@@ -2,6 +2,7 @@
 neighbor search, degree statistics, closed-form bounds, and seeded
 verification experiments."""
 
+from ._version import __version__
 from .model import (
     DegreeSummary,
     EdgeDistanceFamily,
@@ -48,14 +49,8 @@ from .experiments import (
     from_jsonable,
     parse_table,
     read_table,
-    run_containment,
     run_degree_law,
-    run_edge_slln,
     run_experiment,
-    run_threshold_dichotomy,
-    run_uniform_slln,
     to_jsonable,
     write_manifest,
 )
-
-__version__ = "0.1.0"

@@ -16,6 +16,8 @@ from typing import List, Optional
 
 from .experiments import (
     DEFAULT_Y_GRID,
+    EXPERIMENT_KINDS,
+    KINDS,
     ExperimentSpec,
     emit,
     fmt17,
@@ -135,10 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=_u64, required=True)
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo suite")
-    p_exp.add_argument(
-        "kind",
-        choices=("degree-law", "edge-slln", "uniform-slln", "containment", "threshold"),
-    )
+    p_exp.add_argument("kind", choices=KINDS)
     p_exp.add_argument("--d", type=int)
     p_exp.add_argument("--lambda", dest="lam", type=float)
     p_exp.add_argument("--c", type=_float_or_inf, default=None)
@@ -270,8 +269,9 @@ def _build_spec(args) -> ExperimentSpec:
     ]
     if missing:
         raise ValueError(f"missing required flags: {', '.join(missing)} (or use --spec)")
+    kind = EXPERIMENT_KINDS[args.kind]
     family = None
-    if args.kind in ("degree-law", "edge-slln", "threshold"):
+    if kind.families:
         if args.c is not None and (args.alpha is not None or args.beta is not None):
             raise ValueError("give either --c or --alpha/--beta, not both")
         if args.c is not None:
@@ -281,7 +281,7 @@ def _build_spec(args) -> ExperimentSpec:
         else:
             raise ValueError(f"{args.kind} needs --c or both --alpha and --beta")
     y_grid = None
-    if args.kind == "uniform-slln":
+    if kind.y_grid:
         y_grid = tuple(args.y_grid) if args.y_grid is not None else DEFAULT_Y_GRID
     return ExperimentSpec(
         kind=args.kind,
@@ -292,7 +292,7 @@ def _build_spec(args) -> ExperimentSpec:
         base_seed=args.seed,
         family=family,
         y_grid=y_grid,
-        epsilon=args.epsilon if args.kind == "containment" else None,
+        epsilon=args.epsilon if kind.epsilon else None,
     )
 
 

@@ -13,10 +13,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._version import __version__ as ARTIFACT_VERSION
 from .model import (
     DegreeSummary,
     EdgeDistanceFamily,
@@ -39,9 +41,6 @@ from .theory import (
 )
 
 ARTIFACT_NAME = "exprgg"
-ARTIFACT_VERSION = "0.1.0"
-
-KINDS = ("degree-law", "edge-slln", "uniform-slln", "containment", "threshold")
 
 DEFAULT_Y_GRID = tuple(i / 20 for i in range(1, 21))  # 0.05, 0.10, ..., 1.00
 
@@ -81,7 +80,8 @@ class ExperimentSpec:
     epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        kind = EXPERIMENT_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         n_list = tuple(int(n) for n in self.n_list)
         if not n_list:
@@ -98,21 +98,19 @@ class ExperimentSpec:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         _check_seed(self.base_seed, "base_seed")
-        if self.kind in ("degree-law", "edge-slln"):
-            if not isinstance(self.family, LogRegime):
-                raise ValueError(f"{self.kind} requires a LogRegime family")
-        elif self.kind == "threshold":
-            if not isinstance(self.family, (LogRegime, PowerFamily)):
-                raise ValueError("threshold requires a LogRegime or PowerFamily family")
+        if kind.families:
+            if not isinstance(self.family, kind.families):
+                names = " or ".join(f.__name__ for f in kind.families)
+                raise ValueError(f"{self.kind} requires a {names} family")
         elif self.family is not None:
             raise ValueError(f"{self.kind} does not take an edge-distance family")
         if self.family is not None:
             if self.family.lam != self.lam or self.family.d != self.d:
                 raise ValueError("family (lam, d) must match the spec's (lam, d)")
-        if self.kind == "uniform-slln":
+        if kind.y_grid:
             grid = tuple(float(y) for y in (self.y_grid or ()))
             if not grid:
-                raise ValueError("uniform-slln requires a nonempty y_grid")
+                raise ValueError(f"{self.kind} requires a nonempty y_grid")
             if any(not 0.0 <= y <= 1.0 for y in grid):
                 raise ValueError("y_grid values must lie in [0, 1]")
             if any(b <= a for a, b in zip(grid, grid[1:])) or grid[-1] <= 0.0:
@@ -120,9 +118,9 @@ class ExperimentSpec:
             object.__setattr__(self, "y_grid", grid)
         elif self.y_grid is not None:
             raise ValueError(f"{self.kind} does not take a y_grid")
-        if self.kind == "containment":
+        if kind.epsilon:
             if self.epsilon is None or self.epsilon < 0.0:
-                raise ValueError("containment requires epsilon >= 0")
+                raise ValueError(f"{self.kind} requires epsilon >= 0")
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind} does not take epsilon")
 
@@ -206,178 +204,206 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     return cum_cross + (cum_same - n_self) // 2
 
 
-def _job_seed(spec: ExperimentSpec, i_n: int, rep: int) -> int:
-    return derive_replication_seed(spec.base_seed, i_n * spec.replications + rep)
-
-
-def _row_degree_law(spec: ExperimentSpec, i_n: int, rep: int, tb: TheoryBounds) -> ResultRow:
-    n = spec.n_list[i_n]
-    seed = _job_seed(spec, i_n, rep)
-    y = edge_distance(spec.family, n)
-    cloud = sample_exponential_cloud(n, spec.d, spec.lam, seed)
+def _graph_columns(spec: ExperimentSpec, cloud: PointCloud, own) -> dict:
+    """Columns of a graph kind: the degree summary of G_n(y_n) is computed
+    once, and ``own(spec, summary, config)`` adds the kind's columns."""
+    y = edge_distance(spec.family, cloud.n)
     summ = degree_summary(cloud, y)
-    cfg = RggConfig(n=n, d=spec.d, lam=spec.lam, y=y, seed=seed)
+    cfg = RggConfig(n=cloud.n, d=spec.d, lam=spec.lam, y=y, seed=cloud.seed)
+    return dict(
+        y_n=y, epsilon_n=summ.epsilon_n, p_y=pair_connect_prob(y, spec.lam, spec.d),
+        **own(spec, summ, cfg),
+    )
+
+
+def _degree_law_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfig) -> dict:
     min_ratio, max_ratio = degree_ratios(summ, cfg)
-    tag, p1, p2 = _family_columns(spec.family)
-    return ResultRow(
-        experiment=spec.kind, n=n, d=spec.d, lam=spec.lam,
-        family=tag, param1=p1, param2=p2, replication=rep, seed=seed,
-        y_n=y, epsilon_n=summ.epsilon_n, min_degree=summ.min_degree,
-        max_degree=summ.max_degree, min_ratio=min_ratio, max_ratio=max_ratio,
-        p_y=pair_connect_prob(y, spec.lam, spec.d), bounds=tb,
+    return dict(
+        min_degree=summ.min_degree, max_degree=summ.max_degree,
+        min_ratio=min_ratio, max_ratio=max_ratio,
+        bounds=theory_bounds(spec.family.c, spec.lam, spec.d),
     )
 
 
-def _row_edge_slln(spec: ExperimentSpec, i_n: int, rep: int) -> ResultRow:
-    n = spec.n_list[i_n]
-    seed = _job_seed(spec, i_n, rep)
-    y = edge_distance(spec.family, n)
-    cloud = sample_exponential_cloud(n, spec.d, spec.lam, seed)
-    summ = degree_summary(cloud, y)
-    cfg = RggConfig(n=n, d=spec.d, lam=spec.lam, y=y, seed=seed)
-    tag, p1, p2 = _family_columns(spec.family)
-    return ResultRow(
-        experiment=spec.kind, n=n, d=spec.d, lam=spec.lam,
-        family=tag, param1=p1, param2=p2, replication=rep, seed=seed,
-        y_n=y, epsilon_n=summ.epsilon_n,
-        p_y=pair_connect_prob(y, spec.lam, spec.d),
-        gap=edge_density_gap(summ, cfg),
-    )
+def _edge_slln_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfig) -> dict:
+    return dict(gap=edge_density_gap(summ, cfg))
 
 
-def _row_uniform(spec: ExperimentSpec, i_n: int, rep: int) -> ResultRow:
-    n = spec.n_list[i_n]
-    seed = _job_seed(spec, i_n, rep)
-    cloud = sample_exponential_cloud(n, spec.d, spec.lam, seed)
+def _threshold_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfig) -> dict:
+    return dict(max_degree=summ.max_degree, has_edge=summ.epsilon_n >= 1)
+
+
+def _uniform_columns(spec: ExperimentSpec, cloud: PointCloud) -> dict:
+    n = cloud.n
     ys = np.asarray(spec.y_grid, dtype=np.float64)
-    counts = _edge_counts_multi(cloud, ys)
-    density = counts / (n * (n - 1) / 2)
+    density = _edge_counts_multi(cloud, ys) / (n * (n - 1) / 2)
     p = np.array([pair_connect_prob(y, spec.lam, spec.d) for y in ys])
-    sup_gap = float(np.max(np.abs(density - p)))
-    return ResultRow(
-        experiment=spec.kind, n=n, d=spec.d, lam=spec.lam,
-        family=None, param1=None, param2=None, replication=rep, seed=seed,
-        gap=sup_gap,
-    )
+    return dict(gap=float(np.max(np.abs(density - p))))
 
 
-def _row_containment(spec: ExperimentSpec, i_n: int, rep: int) -> ResultRow:
+def _containment_columns(spec: ExperimentSpec, cloud: PointCloud) -> dict:
+    radius = containment_radius(cloud.n, spec.lam, spec.d, spec.epsilon)
+    return dict(contained=bool(cloud.points.max() <= radius))
+
+
+def _summary_degree_law(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+    tb = theory_bounds(spec.family.c, spec.lam, spec.d)
+    mins = np.array([r.min_ratio for r in rows])
+    maxs = np.array([r.max_ratio for r in rows])
+    return {
+        "n": rows[0].n,
+        "y_n": rows[0].y_n,
+        "replications": len(rows),
+        "mean_min_ratio": float(mins.mean()),
+        "sd_min_ratio": float(mins.std()),
+        "min_min_ratio": float(mins.min()),
+        "max_min_ratio": float(mins.max()),
+        "spread_min_ratio": float(mins.max() - mins.min()),
+        "mean_max_ratio": float(maxs.mean()),
+        "sd_max_ratio": float(maxs.std()),
+        "min_max_ratio": float(maxs.min()),
+        "max_max_ratio": float(maxs.max()),
+        "spread_max_ratio": float(maxs.max() - maxs.min()),
+        "min_liminf_bound": tb.min_liminf_bound,
+        "min_limsup_bound": tb.min_limsup_bound,
+        "min_limsup_envelope": (2.0 * spec.lam) ** spec.d,
+        "max_liminf_bound": tb.max_liminf_bound,
+        "max_limsup_bound": tb.max_limsup_bound,
+    }
+
+
+def _summary_edge_slln(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+    gaps = np.array([r.gap for r in rows])
+    p = rows[0].p_y
+    return {
+        "n": rows[0].n,
+        "y_n": rows[0].y_n,
+        "p_y": p,
+        "replications": len(rows),
+        "mean_gap": float(gaps.mean()),
+        "mean_relative_gap": float(gaps.mean() / p) if p > 0 else None,
+    }
+
+
+def _summary_uniform(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+    sups = np.array([r.gap for r in rows])
+    return {
+        "n": rows[0].n,
+        "replications": len(rows),
+        "mean_sup_gap": float(sups.mean()),
+        "max_sup_gap": float(sups.max()),
+    }
+
+
+def _summary_containment(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+    n = rows[0].n
+    return {
+        "n": n,
+        "replications": len(rows),
+        "radius": containment_radius(n, spec.lam, spec.d, spec.epsilon),
+        "epsilon": spec.epsilon,
+        "containment_frequency": sum(1 for r in rows if r.contained) / len(rows),
+        "predicted_escape_bound": min(1.0, spec.d * float(n) ** -spec.epsilon),
+    }
+
+
+def _summary_threshold(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+    n = rows[0].n
+    return {
+        "n": n,
+        "y_n": rows[0].y_n,
+        "p_y": rows[0].p_y,
+        "replications": len(rows),
+        "expected_edges": n * (n - 1) / 2 * rows[0].p_y,
+        "edge_frequency": sum(1 for r in rows if r.has_edge) / len(rows),
+    }
+
+
+def _theory_degree_law(spec: ExperimentSpec) -> dict:
+    tb = theory_bounds(spec.family.c, spec.lam, spec.d)
+    return {
+        "lambda_pow_d": tb.lambda_pow_d,
+        "a_min": tb.a_min,
+        "a_min_has_root": tb.a_min_has_root,
+        "a_max": tb.a_max,
+        "min_liminf_bound": tb.min_liminf_bound,
+        "min_limsup_bound": tb.min_limsup_bound,
+        "min_limsup_envelope": (2.0 * spec.lam) ** spec.d,
+        "max_liminf_bound": tb.max_liminf_bound,
+        "max_limsup_bound": tb.max_limsup_bound,
+    }
+
+
+def _theory_containment(spec: ExperimentSpec) -> dict:
+    return {
+        "predicted_escape_bounds": {
+            str(n): min(1.0, spec.d * float(n) ** -spec.epsilon) for n in spec.n_list
+        }
+    }
+
+
+def _theory_threshold(spec: ExperimentSpec) -> dict:
+    return {
+        "series": series_classifier(spec.family),
+        "first_moment_expected_edges": {
+            str(n): n * (n - 1) / 2
+            * pair_connect_prob(edge_distance(spec.family, n), spec.lam, spec.d)
+            for n in spec.n_list
+        },
+    }
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One experiment kind: its own row columns for a sampled cloud, the
+    summary of one n's rows, and the manifest's theory block; plus the spec
+    parameters it takes (accepted family types, none if empty; a y-grid;
+    an escape exponent epsilon)."""
+
+    columns: Callable[[ExperimentSpec, PointCloud], dict]
+    summary: Callable[[ExperimentSpec, List[ResultRow]], dict]
+    theory: Callable[[ExperimentSpec], dict]
+    families: Tuple[type, ...] = ()
+    y_grid: bool = False
+    epsilon: bool = False
+
+
+EXPERIMENT_KINDS: Dict[str, ExperimentKind] = {
+    "degree-law": ExperimentKind(
+        partial(_graph_columns, own=_degree_law_columns), _summary_degree_law,
+        _theory_degree_law, families=(LogRegime,),
+    ),
+    "edge-slln": ExperimentKind(
+        partial(_graph_columns, own=_edge_slln_columns), _summary_edge_slln,
+        lambda spec: {}, families=(LogRegime,),
+    ),
+    "uniform-slln": ExperimentKind(
+        _uniform_columns, _summary_uniform, lambda spec: {"y_grid": list(spec.y_grid)},
+        y_grid=True,
+    ),
+    "containment": ExperimentKind(
+        _containment_columns, _summary_containment, _theory_containment, epsilon=True,
+    ),
+    "threshold": ExperimentKind(
+        partial(_graph_columns, own=_threshold_columns), _summary_threshold,
+        _theory_threshold, families=(LogRegime, PowerFamily),
+    ),
+}
+
+KINDS = tuple(EXPERIMENT_KINDS)
+
+
+def _run_replication(spec: ExperimentSpec, i_n: int, rep: int) -> ResultRow:
+    """One seeded job: sample the cloud and fill the shared and kind columns."""
     n = spec.n_list[i_n]
-    seed = _job_seed(spec, i_n, rep)
+    seed = derive_replication_seed(spec.base_seed, i_n * spec.replications + rep)
     cloud = sample_exponential_cloud(n, spec.d, spec.lam, seed)
-    radius = containment_radius(n, spec.lam, spec.d, spec.epsilon)
-    contained = bool(cloud.points.max() <= radius)
-    return ResultRow(
-        experiment=spec.kind, n=n, d=spec.d, lam=spec.lam,
-        family=None, param1=None, param2=None, replication=rep, seed=seed,
-        contained=contained,
-    )
-
-
-def _row_threshold(spec: ExperimentSpec, i_n: int, rep: int) -> ResultRow:
-    n = spec.n_list[i_n]
-    seed = _job_seed(spec, i_n, rep)
-    y = edge_distance(spec.family, n)
-    cloud = sample_exponential_cloud(n, spec.d, spec.lam, seed)
-    summ = degree_summary(cloud, y)
     tag, p1, p2 = _family_columns(spec.family)
     return ResultRow(
         experiment=spec.kind, n=n, d=spec.d, lam=spec.lam,
         family=tag, param1=p1, param2=p2, replication=rep, seed=seed,
-        y_n=y, epsilon_n=summ.epsilon_n, max_degree=summ.max_degree,
-        p_y=pair_connect_prob(y, spec.lam, spec.d),
-        has_edge=summ.epsilon_n >= 1,
+        **EXPERIMENT_KINDS[spec.kind].columns(spec, cloud),
     )
-
-
-def _summaries_degree_law(spec: ExperimentSpec, per_n: List[List[ResultRow]], tb: TheoryBounds) -> List[dict]:
-    envelope = (2.0 * spec.lam) ** spec.d
-    out = []
-    for rows in per_n:
-        mins = np.array([r.min_ratio for r in rows])
-        maxs = np.array([r.max_ratio for r in rows])
-        out.append({
-            "n": rows[0].n,
-            "y_n": rows[0].y_n,
-            "replications": len(rows),
-            "mean_min_ratio": float(mins.mean()),
-            "sd_min_ratio": float(mins.std()),
-            "min_min_ratio": float(mins.min()),
-            "max_min_ratio": float(mins.max()),
-            "spread_min_ratio": float(mins.max() - mins.min()),
-            "mean_max_ratio": float(maxs.mean()),
-            "sd_max_ratio": float(maxs.std()),
-            "min_max_ratio": float(maxs.min()),
-            "max_max_ratio": float(maxs.max()),
-            "spread_max_ratio": float(maxs.max() - maxs.min()),
-            "min_liminf_bound": tb.min_liminf_bound,
-            "min_limsup_bound": tb.min_limsup_bound,
-            "min_limsup_envelope": envelope,
-            "max_liminf_bound": tb.max_liminf_bound,
-            "max_limsup_bound": tb.max_limsup_bound,
-        })
-    return out
-
-
-def _summaries_edge_slln(spec: ExperimentSpec, per_n: List[List[ResultRow]]) -> List[dict]:
-    out = []
-    for rows in per_n:
-        gaps = np.array([r.gap for r in rows])
-        p = rows[0].p_y
-        out.append({
-            "n": rows[0].n,
-            "y_n": rows[0].y_n,
-            "p_y": p,
-            "replications": len(rows),
-            "mean_gap": float(gaps.mean()),
-            "mean_relative_gap": float(gaps.mean() / p) if p > 0 else None,
-        })
-    return out
-
-
-def _summaries_uniform(spec: ExperimentSpec, per_n: List[List[ResultRow]]) -> List[dict]:
-    out = []
-    for rows in per_n:
-        sups = np.array([r.gap for r in rows])
-        out.append({
-            "n": rows[0].n,
-            "replications": len(rows),
-            "mean_sup_gap": float(sups.mean()),
-            "max_sup_gap": float(sups.max()),
-        })
-    return out
-
-
-def _summaries_containment(spec: ExperimentSpec, per_n: List[List[ResultRow]]) -> List[dict]:
-    out = []
-    for rows in per_n:
-        n = rows[0].n
-        freq = sum(1 for r in rows if r.contained) / len(rows)
-        out.append({
-            "n": n,
-            "replications": len(rows),
-            "radius": containment_radius(n, spec.lam, spec.d, spec.epsilon),
-            "epsilon": spec.epsilon,
-            "containment_frequency": freq,
-            "predicted_escape_bound": min(1.0, spec.d * float(n) ** -spec.epsilon),
-        })
-    return out
-
-
-def _summaries_threshold(spec: ExperimentSpec, per_n: List[List[ResultRow]]) -> List[dict]:
-    out = []
-    for rows in per_n:
-        n = rows[0].n
-        freq = sum(1 for r in rows if r.has_edge) / len(rows)
-        out.append({
-            "n": n,
-            "y_n": rows[0].y_n,
-            "p_y": rows[0].p_y,
-            "replications": len(rows),
-            "expected_edges": n * (n - 1) / 2 * rows[0].p_y,
-            "edge_frequency": freq,
-        })
-    return out
 
 
 def _resolve_threads(threads: int) -> int:
@@ -397,94 +423,31 @@ def run_experiment(
     independent of the worker count. ``progress`` receives one line per n.
     """
     workers = _resolve_threads(threads)
-    theory: Dict[str, object] = {}
-    if spec.kind == "degree-law":
-        tb = theory_bounds(spec.family.c, spec.lam, spec.d)
-        job = lambda i_n, rep: _row_degree_law(spec, i_n, rep, tb)
-        theory = {
-            "lambda_pow_d": tb.lambda_pow_d,
-            "a_min": tb.a_min,
-            "a_min_has_root": tb.a_min_has_root,
-            "a_max": tb.a_max,
-            "min_liminf_bound": tb.min_liminf_bound,
-            "min_limsup_bound": tb.min_limsup_bound,
-            "min_limsup_envelope": (2.0 * spec.lam) ** spec.d,
-            "max_liminf_bound": tb.max_liminf_bound,
-            "max_limsup_bound": tb.max_limsup_bound,
-        }
-        summarize = lambda per_n: _summaries_degree_law(spec, per_n, tb)
-    elif spec.kind == "edge-slln":
-        job = lambda i_n, rep: _row_edge_slln(spec, i_n, rep)
-        summarize = lambda per_n: _summaries_edge_slln(spec, per_n)
-    elif spec.kind == "uniform-slln":
-        job = lambda i_n, rep: _row_uniform(spec, i_n, rep)
-        theory = {"y_grid": list(spec.y_grid)}
-        summarize = lambda per_n: _summaries_uniform(spec, per_n)
-    elif spec.kind == "containment":
-        job = lambda i_n, rep: _row_containment(spec, i_n, rep)
-        theory = {
-            "predicted_escape_bounds": {
-                str(n): min(1.0, spec.d * float(n) ** -spec.epsilon)
-                for n in spec.n_list
-            }
-        }
-        summarize = lambda per_n: _summaries_containment(spec, per_n)
-    else:  # threshold
-        job = lambda i_n, rep: _row_threshold(spec, i_n, rep)
-        theory = {
-            "series": series_classifier(spec.family),
-            "first_moment_expected_edges": {
-                str(n): n * (n - 1) / 2
-                * pair_connect_prob(edge_distance(spec.family, n), spec.lam, spec.d)
-                for n in spec.n_list
-            },
-        }
-        summarize = lambda per_n: _summaries_threshold(spec, per_n)
-
+    kind = EXPERIMENT_KINDS[spec.kind]
+    theory = kind.theory(spec)
     per_n: List[List[ResultRow]] = []
     for i_n, n in enumerate(spec.n_list):
+        job = partial(_run_replication, spec, i_n)
         reps = range(spec.replications)
         if workers > 1 and spec.replications > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda rep: job(i_n, rep), reps))
+                rows = list(pool.map(job, reps))
         else:
-            rows = [job(i_n, rep) for rep in reps]
+            rows = [job(rep) for rep in reps]
         per_n.append(rows)
         if progress is not None:
             progress(f"[{spec.kind}] n={n}: {spec.replications} replication(s) done")
-    all_rows = [row for rows in per_n for row in rows]
     return ExperimentResult(
-        spec=spec, rows=all_rows, summaries=summarize(per_n), theory=theory
+        spec=spec,
+        rows=[row for rows in per_n for row in rows],
+        summaries=[kind.summary(spec, rows) for rows in per_n],
+        theory=theory,
     )
 
 
 def run_degree_law(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     if spec.kind != "degree-law":
         raise ValueError(f"expected a degree-law spec, got {spec.kind}")
-    return run_experiment(spec, threads)
-
-
-def run_edge_slln(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    if spec.kind != "edge-slln":
-        raise ValueError(f"expected an edge-slln spec, got {spec.kind}")
-    return run_experiment(spec, threads)
-
-
-def run_uniform_slln(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    if spec.kind != "uniform-slln":
-        raise ValueError(f"expected a uniform-slln spec, got {spec.kind}")
-    return run_experiment(spec, threads)
-
-
-def run_containment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    if spec.kind != "containment":
-        raise ValueError(f"expected a containment spec, got {spec.kind}")
-    return run_experiment(spec, threads)
-
-
-def run_threshold_dichotomy(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    if spec.kind != "threshold":
-        raise ValueError(f"expected a threshold spec, got {spec.kind}")
     return run_experiment(spec, threads)
 
 
@@ -665,7 +628,18 @@ def to_jsonable(obj) -> dict:
 
 
 def from_jsonable(data: dict):
+    """Inverse of :func:`to_jsonable`. Malformed input raises ValueError that
+    names the missing field or the wrong type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("type")
+    try:
+        return _decode(kind, data)
+    except KeyError as exc:
+        raise ValueError(f"{kind} object is missing field {exc.args[0]!r}") from None
+
+
+def _decode(kind, data: dict):
     if kind == "PointCloud":
         return PointCloud(
             d=data["d"], points=np.asarray(data["points"], dtype=np.float64),

@@ -51,8 +51,8 @@ def degree_summary(
             else:
                 dist = np.abs(pts[left] - pts[right]).max(axis=1)
             hit = dist <= y
-            np.add.at(deg, left[hit], 1)
-            np.add.at(deg, right[hit], 1)
+            deg += np.bincount(left[hit], minlength=n)
+            deg += np.bincount(right[hit], minlength=n)
     return DegreeSummary.from_degrees(deg)
 
 

@@ -1,22 +1,30 @@
 """l-infinity geometry: the metric, a uniform-grid fixed-radius index, and
 the brute-force pairwise scan that serves as its correctness oracle.
 
-The grid uses cell_size = query radius, so a radius-y query only ever has
-to scan the 3^d cells around a point. Candidate pairs are generated in
-vectorized chunks; the Python-level work is O(number of occupied cells),
-not O(n) or O(pairs).
+The grid is the fixed-radius cell method of Bentley, Stanat & Williams
+(IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
+has to scan the 3^d cells around a point. For every d, each cell has one
+int64 key, so one sorted key array and one ``searchsorted`` serve every cell
+lookup. The index matches each occupied cell with its occupied neighbours
+once, at build time; pair enumeration, block enumeration and single-point
+queries all read that one table. Candidate pairs are generated in vectorized
+chunks; the Python-level work is O(3^d) steps plus one per chunk, not O(n)
+or O(pairs).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Set, Tuple
+import math
+from typing import Iterator, List, Set, Tuple
 
 import numpy as np
 
 from .model import PointCloud
 
 _PAIR_CHUNK = 1 << 20
+_KEY_LIMIT = 2**63 - 1  # largest int64: the largest cell key
+_COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
 
 def linf_distance(p, q) -> float:
@@ -28,9 +36,40 @@ def linf_distance(p, q) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
+def _fit_cells(points: np.ndarray, cell_size: float) -> Tuple[np.ndarray, float, List[int]]:
+    """Cell coordinates of ``points`` shifted so the lowest occupied cell is 1
+    on every axis, the cell width used, and the per-axis key radix (occupied
+    span plus a one-cell margin on each side, so +-1 neighbours have keys).
+
+    The width is ``cell_size`` unless that grid's keys would overflow int64,
+    where two cells could share a key. Then the width grows until the exact
+    radix product fits. Any width >= the query radius yields a superset of
+    the candidate pairs, and callers filter by distance, so coarsening never
+    changes a result.
+    """
+    d = points.shape[1]
+    while True:
+        scaled = np.floor(points / cell_size)
+        if float(scaled.max()) < _COORD_LIMIT:
+            coords = scaled.astype(np.int64)
+            lo = coords.min(axis=0) - 1
+            radix = [int(h) - int(l) + 2 for l, h in zip(lo, coords.max(axis=0))]
+            excess = math.prod(radix).bit_length() - 63
+            if excess <= 0:
+                return coords - lo, cell_size, radix
+            cell_size *= 2.0 ** max(1.0, excess / d)
+        else:
+            cell_size = max(2.0 * cell_size, float(points.max()) / (_COORD_LIMIT / 4))
+
+
 class GridIndex:
     """Uniform grid over a point cloud; cell (c1..cd) holds the vertices whose
     point lies in [c_k*cell_size, (c_k+1)*cell_size) along every axis.
+
+    A cell's key is a mixed radix over its coordinates, axis 0 most
+    significant, so keys sort like coordinate tuples. ``cell_size`` is the
+    requested width unless the keys would overflow int64; then it is the
+    coarser width actually used (see ``_fit_cells``).
 
     Immutable once built; queries are read-only and safe to run concurrently.
     """
@@ -38,62 +77,68 @@ class GridIndex:
     def __init__(self, cloud: PointCloud, cell_size: float):
         if not cell_size > 0.0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
+        if 3**cloud.d > _KEY_LIMIT:
+            raise ValueError(f"the grid index supports d <= 39, got d={cloud.d}")
         self.cloud = cloud
-        self.cell_size = float(cell_size)
-        coords = np.floor(cloud.points / self.cell_size).astype(np.int64)
-        if cloud.d == 1:
-            order = np.argsort(coords[:, 0], kind="stable")
-        else:
-            order = np.lexsort(coords.T[::-1])
-        sorted_coords = coords[order]
-        if len(order) > 1:
-            new_group = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-            boundaries = np.flatnonzero(np.concatenate(([True], new_group)))
-        else:
-            boundaries = np.array([0], dtype=np.int64)
+        shifted, self.cell_size, radix = _fit_cells(cloud.points, float(cell_size))
+        keys = shifted[:, 0]
+        for k in range(1, cloud.d):
+            keys = keys * radix[k] + shifted[:, k]
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        boundaries = np.flatnonzero(
+            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        )
         self._members = order  # vertex ids grouped by cell
         self._starts = np.concatenate((boundaries, [len(order)]))
-        self._cell_coords = sorted_coords[boundaries]  # (k, d), lex-sorted
-        self._vertex_cells = coords
-        self._cell_to_group = None  # built lazily
+        self._cell_keys = sorted_keys[boundaries]  # ascending
+        self._vertex_keys = keys
+        self._adjacent = self._match_adjacent(radix)
 
     @property
     def n_cells(self) -> int:
-        return self._cell_coords.shape[0]
+        return len(self._cell_keys)
 
     @property
     def cells(self) -> dict:
         """Mapping from cell coordinate tuple to the array of member vertex ids."""
-        return {
-            tuple(self._cell_coords[g]): self.members(g) for g in range(self.n_cells)
-        }
+        first = self.cloud.points[self._members[self._starts[:-1]]]
+        coords = np.floor(first / self.cell_size).astype(np.int64)
+        return {tuple(c): self.members(g) for g, c in enumerate(coords)}
 
     def members(self, group: int) -> np.ndarray:
         return self._members[self._starts[group]:self._starts[group + 1]]
 
-    def _group_map(self) -> dict:
-        if self._cell_to_group is None:
-            self._cell_to_group = {
-                tuple(c): g for g, c in enumerate(self._cell_coords)
-            }
-        return self._cell_to_group
+    def _groups_of(self, keys):
+        """Group ids of cell keys, -1 where the cell is unoccupied."""
+        pos = np.minimum(np.searchsorted(self._cell_keys, keys), self.n_cells - 1)
+        return np.where(self._cell_keys[pos] == keys, pos, -1)
 
-    def _lookup_groups(self, targets: np.ndarray) -> np.ndarray:
-        """Group ids for an array of cell coordinates, -1 where unoccupied."""
-        if self.cloud.d == 1:
-            keys = self._cell_coords[:, 0]
-            pos = np.searchsorted(keys, targets[:, 0])
-            pos_clipped = np.minimum(pos, len(keys) - 1)
-            found = keys[pos_clipped] == targets[:, 0]
-            return np.where(found, pos_clipped, -1)
-        gmap = self._group_map()
-        return np.fromiter(
-            (gmap.get(tuple(t), -1) for t in targets), dtype=np.int64, count=len(targets)
-        )
+    def _match_adjacent(self, radix: List[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Matched group arrays (A, B), one pair per lexicographically
+        positive offset in {-1, 0, 1}^d that has any: occupied cell B[j] lies
+        at that offset from cell A[j]. Every unordered pair of adjacent
+        occupied cells appears once. Kept per offset, not concatenated: pair
+        chunks then restart at each offset, and packing all offsets into full
+        chunks raised peak memory by half on d = 2 clouds."""
+        strides = [math.prod(radix[k + 1:]) for k in range(len(radix))]
+        groups = np.arange(self.n_cells, dtype=np.int64)
+        matched = []
+        for off in itertools.product((-1, 0, 1), repeat=len(radix)):
+            # Every radix is >= 3, so the key delta is positive exactly when
+            # the offset is lexicographically positive.
+            delta = sum(o * s for o, s in zip(off, strides))
+            if delta <= 0:
+                continue
+            neighbor = self._groups_of(self._cell_keys + delta)
+            present = neighbor >= 0
+            if np.any(present):
+                matched.append((groups[present], neighbor[present]))
+        return matched
 
 
 def build_grid_index(cloud: PointCloud, cell_size: float) -> GridIndex:
-    """Index ``cloud`` with the given cell size (O(n) construction)."""
+    """Index ``cloud`` with the given cell size (O(n log n) construction)."""
     return GridIndex(cloud, cell_size)
 
 
@@ -129,25 +174,14 @@ def iter_candidate_pairs(
     This is a superset of the pairs at l-inf distance <= cell_size; callers
     filter by actual distance.
     """
-    k = index.n_cells
-    groups = np.arange(k, dtype=np.int64)
+    groups = np.arange(index.n_cells, dtype=np.int64)
     # Same-cell pairs: keep the ordered pairs with left id < right id.
     for left, right in _block_pairs(index, groups, groups, chunk):
         keep = left < right
         if np.any(keep):
             yield left[keep], right[keep]
-    # Cross-cell pairs: one offset per unordered cell pair (lexicographically
-    # positive offsets), so each adjacent pair of cells is visited once.
-    d = index.cloud.d
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        if off <= (0,) * d:
-            continue
-        targets = index._cell_coords + np.asarray(off, dtype=np.int64)
-        neighbor = index._lookup_groups(targets)
-        present = neighbor >= 0
-        if not np.any(present):
-            continue
-        yield from _block_pairs(index, groups[present], neighbor[present], chunk)
+    for groups_a, groups_b in index._adjacent:
+        yield from _block_pairs(index, groups_a, groups_b, chunk)
 
 
 def iter_matched_blocks(
@@ -159,14 +193,8 @@ def iter_matched_blocks(
     for g in range(index.n_cells):
         members = index.members(g)
         yield members, members, True
-    d = index.cloud.d
-    groups = np.arange(index.n_cells, dtype=np.int64)
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        if off <= (0,) * d:
-            continue
-        targets = index._cell_coords + np.asarray(off, dtype=np.int64)
-        neighbor = index._lookup_groups(targets)
-        for g, h in zip(groups[neighbor >= 0], neighbor[neighbor >= 0]):
+    for groups_a, groups_b in index._adjacent:
+        for g, h in zip(groups_a, groups_b):
             yield index.members(g), index.members(h), False
 
 
@@ -184,14 +212,11 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
         raise ValueError(
             f"y={y} exceeds cell_size={index.cell_size}; rebuild the index"
         )
-    base = index._vertex_cells[i]
-    gmap = index._group_map()
-    candidates = []
-    for off in itertools.product((-1, 0, 1), repeat=index.cloud.d):
-        g = gmap.get(tuple(base + np.asarray(off, dtype=np.int64)))
-        if g is not None:
-            candidates.append(index.members(g))
-    cand = np.concatenate(candidates)
+    g = int(index._groups_of(index._vertex_keys[i]))
+    groups = [g]
+    for groups_a, groups_b in index._adjacent:
+        groups += [*groups_b[groups_a == g], *groups_a[groups_b == g]]
+    cand = np.concatenate([index.members(h) for h in groups])
     dist = np.abs(index.cloud.points[cand] - index.cloud.points[i]).max(axis=1)
     hits = cand[dist <= y]
     return {int(j) for j in hits if j != i}

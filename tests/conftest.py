@@ -1,23 +1,30 @@
 """Shared test oracles, deliberately independent of the library code paths
 they check: exact rational binomial tails, a scalar-loop Chebyshev distance,
-and a plain Kolmogorov-Smirnov statistic."""
+and a plain Kolmogorov-Smirnov statistic; plus the tie-heavy and overflow
+clouds that the brute-force comparisons take as extra inputs."""
 
+import functools
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from exprgg import PointCloud
 
 
-def binomial_pmf_exact(n: int, p: float) -> List[Fraction]:
-    """Exact Bin(n, p) pmf over k = 0..n, with p taken as its exact binary value."""
+@functools.lru_cache(maxsize=None)
+def binomial_pmf_exact(n: int, p: float) -> Tuple[Fraction, ...]:
+    """Exact Bin(n, p) pmf over k = 0..n, with p taken as its exact binary value.
+
+    Memoized, since the tail helpers ask for the same pmf once per k; a
+    tuple, so a cached value cannot be mutated by a caller.
+    """
     pf = Fraction(p)
     qf = 1 - pf
     pmf = [qf**n]
     for k in range(1, n + 1):
         pmf.append(pmf[-1] * (n - k + 1) * pf / (k * qf))
-    return pmf
+    return tuple(pmf)
 
 
 def binomial_lower_tail_exact(n: int, p: float, k: int) -> Fraction:
@@ -66,3 +73,25 @@ def make_cloud(points, lam: float = 1.0, seed: int = 0) -> PointCloud:
     if pts.ndim == 1:
         pts = pts[:, None]
     return PointCloud(d=pts.shape[1], points=pts, seed=seed, lam=lam)
+
+
+def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
+    """(cloud, ascending y values) inputs on which a fast path is most likely
+    to disagree with the brute-force oracle.
+
+    - Dyadic lattices (coordinates k/8) with y on the lattice, d = 1, 2, 3:
+      exact ``distance == y`` ties are common, where continuous random clouds
+      almost never produce them.
+    - A d = 3 cloud of near-coincident pairs at y = 1e-9: at that cell size
+      the per-axis cell spans multiply past int64, so the grid must widen its
+      cells to keep every cell key distinct.
+    """
+    rng = np.random.default_rng(2024)
+    out = [
+        (make_cloud(rng.integers(0, 24, size=(n, d)) / 8.0), (0.125, 0.25, 0.375, 1.0))
+        for d, n in ((1, 150), (2, 300), (3, 300))
+    ]
+    base = 1.0 + rng.exponential(size=(150, 3))
+    steps = rng.choice([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9], size=base.shape)
+    out.append((make_cloud(np.concatenate((base, base + steps))), (1e-9,)))
+    return out

@@ -23,8 +23,7 @@ from exprgg import (
     chernoff_upper_tail,
     h_function,
     read_table,
-    run_containment,
-    run_uniform_slln,
+    run_experiment,
 )
 from exprgg.cli import main
 from exprgg.experiments import DEFAULT_Y_GRID
@@ -194,7 +193,7 @@ def test_criterion_5_uniform_slln(report):
         kind="uniform-slln", n_list=(10**4,), d=1, lam=1.0, replications=10,
         base_seed=42, y_grid=DEFAULT_Y_GRID,
     )
-    res = run_uniform_slln(spec)
+    res = run_experiment(spec)
     mean_sup = res.summaries[0]["mean_sup_gap"]
     ok = mean_sup < 0.02
     report(5, "uniform edge-density strong law", ok,
@@ -207,7 +206,7 @@ def test_criterion_6_containment(report):
         kind="containment", n_list=(10**4,), d=2, lam=1.0, replications=200,
         base_seed=42, epsilon=0.5,
     )
-    res = run_containment(spec)
+    res = run_experiment(spec)
     summary = res.summaries[0]
     freq = summary["containment_frequency"]
     ok = freq >= 0.97

@@ -199,6 +199,28 @@ def test_experiment_missing_family_exits_one(tmp_path, capsys):
     assert "--c" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "ExperimentSpec", "n_list": [100], "d": 1, "lambda": 1.0,
+          "replications": 1, "base_seed": 1}, "missing field 'kind'"),
+        ({"spec": 3}, "got int"),
+        ([{"type": "ExperimentSpec"}], "got list"),
+    ],
+    ids=["no-kind", "spec-not-object", "top-level-list"],
+)
+def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(
+        capsys, "experiment", "degree-law", "--spec", str(path),
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_experiment_unwritable_path_exits_two(capsys):
     code, _, err = run_cli(
         capsys, "experiment", "edge-slln", "--d", "1", "--lambda", "1",

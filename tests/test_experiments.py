@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import exprgg
 from exprgg import (
     LogRegime,
     PowerFamily,
     brute_force_edges,
     emit,
     parse_table,
-    run_containment,
     run_degree_law,
-    run_edge_slln,
     run_experiment,
-    run_threshold_dichotomy,
-    run_uniform_slln,
     sample_exponential_cloud,
     theory_bounds,
 )
@@ -29,6 +26,7 @@ from exprgg.experiments import (
     spec_from_json_file,
     write_manifest,
 )
+from conftest import tie_and_overflow_clouds
 from exprgg.sampling import derive_replication_seed
 
 
@@ -120,7 +118,7 @@ def test_degree_law_rows_carry_matching_bounds():
 
 def test_edge_slln_matches_brute_force_on_small_n():
     spec = small_spec(kind="edge-slln", n_list=(40, 90), replications=2)
-    res = run_edge_slln(spec)
+    res = run_experiment(spec)
     for row in res.rows:
         cloud = sample_exponential_cloud(row.n, row.d, row.lam, row.seed)
         assert row.epsilon_n == len(brute_force_edges(cloud, row.y_n))
@@ -136,7 +134,7 @@ def test_uniform_sup_dominates_every_grid_point():
         kind="uniform-slln", n_list=(200,), d=1, lam=1.0, replications=2,
         base_seed=7, y_grid=grid,
     )
-    res = run_uniform_slln(spec)
+    res = run_experiment(spec)
     from exprgg.experiments import _edge_counts_multi
     from exprgg.theory import pair_connect_prob
 
@@ -150,6 +148,10 @@ def test_uniform_sup_dominates_every_grid_point():
         ]
         assert row.gap == max(gaps)
         assert all(row.gap >= g for g in gaps)
+        assert list(counts) == [len(brute_force_edges(cloud, y)) for y in grid]
+    for cloud, ys in tie_and_overflow_clouds():
+        counts = _edge_counts_multi(cloud, np.asarray(ys))
+        assert list(counts) == [len(brute_force_edges(cloud, y)) for y in ys], cloud.d
 
 
 def test_uniform_sup_gap_shrinks_with_n():
@@ -157,7 +159,7 @@ def test_uniform_sup_gap_shrinks_with_n():
         kind="uniform-slln", n_list=(10**3, 10**4), d=1, lam=1.0,
         replications=5, base_seed=42, y_grid=DEFAULT_Y_GRID,
     )
-    res = run_uniform_slln(spec)
+    res = run_experiment(spec)
     sups = [s["mean_sup_gap"] for s in res.summaries]
     assert sups[1] < sups[0]
 
@@ -167,7 +169,7 @@ def test_containment_flags_forced_escape():
         kind="containment", n_list=(100,), d=2, lam=1.0, replications=4,
         base_seed=3, epsilon=0.5,
     )
-    res = run_containment(spec)
+    res = run_experiment(spec)
     from exprgg.theory import containment_radius
 
     radius = containment_radius(100, 1.0, 2, 0.5)
@@ -180,8 +182,8 @@ def test_containment_flags_forced_escape():
 def test_containment_nested_in_epsilon_on_identical_seeds():
     kwargs = dict(kind="containment", n_list=(500,), d=2, lam=1.0,
                   replications=50, base_seed=11)
-    tight = run_containment(ExperimentSpec(epsilon=0.5, **kwargs))
-    loose = run_containment(ExperimentSpec(epsilon=1.0, **kwargs))
+    tight = run_experiment(ExperimentSpec(epsilon=0.5, **kwargs))
+    loose = run_experiment(ExperimentSpec(epsilon=1.0, **kwargs))
     for a, b in zip(tight.rows, loose.rows):
         assert a.seed == b.seed
         if a.contained:
@@ -196,7 +198,7 @@ def test_threshold_rows_and_manifest_oracle():
         kind="threshold", n_list=(200,), d=1, lam=1.0, replications=5,
         base_seed=17, family=fam,
     )
-    res = run_threshold_dichotomy(spec)
+    res = run_experiment(spec)
     assert res.theory["series"] == "converges"
     assert "200" in res.theory["first_moment_expected_edges"]
     for row in res.rows:
@@ -216,14 +218,14 @@ def test_rows_blank_fields_by_kind():
         kind="uniform-slln", n_list=(100,), d=1, lam=1.0, replications=2,
         base_seed=5, y_grid=(0.2, 0.6),
     )
-    for row in run_uniform_slln(uniform).rows:
+    for row in run_experiment(uniform).rows:
         assert row.gap is not None
         assert row.y_n is None and row.epsilon_n is None and row.min_ratio is None
     contain = ExperimentSpec(
         kind="containment", n_list=(100,), d=1, lam=1.0, replications=2,
         base_seed=5, epsilon=0.5,
     )
-    for row in run_containment(contain).rows:
+    for row in run_experiment(contain).rows:
         assert row.contained is not None
         assert row.has_edge is None and row.gap is None and row.y_n is None
 
@@ -250,7 +252,7 @@ def test_emit_rejects_empty_table(tmp_path):
 
 def test_emit_round_trip_and_cross_format_equality():
     spec = small_spec(kind="edge-slln", n_list=(60, 90), replications=2)
-    rows = run_edge_slln(spec).rows
+    rows = run_experiment(spec).rows
     csv_buf, json_buf = io.StringIO(), io.StringIO()
     emit(rows, "csv", csv_buf)
     emit(rows, "json", json_buf)
@@ -271,6 +273,7 @@ def test_manifest_round_trip(tmp_path):
     manifest_path = write_manifest(res, str(out), "csv")
     data = json.loads(open(manifest_path).read())
     assert data["artifact"]["name"] == "exprgg"
+    assert data["artifact"]["version"] == exprgg.__version__
     assert data["output"]["rows"] == 2
     assert spec_from_json_file(manifest_path) == spec
     # manifest carries the degree-law bounds including the doubled-rate envelope

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_cloud
+from conftest import make_cloud, tie_and_overflow_clouds
 from exprgg import (
     RggConfig,
     brute_force_edges,
@@ -62,6 +62,10 @@ def test_matches_brute_force_on_random_clouds():
         cloud = sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0))
         expected = summary_from_edges(n, brute_force_edges(cloud, y))
         assert degree_summary(cloud, y) == expected
+    for cloud, ys in tie_and_overflow_clouds():
+        for y in ys:
+            expected = summary_from_edges(cloud.n, brute_force_edges(cloud, y))
+            assert degree_summary(cloud, y) == expected, (cloud.d, y)
 
 
 def test_handshake_and_bound_chain():

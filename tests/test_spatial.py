@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cloud, scalar_edges, scalar_linf
+from conftest import make_cloud, scalar_edges, scalar_linf, tie_and_overflow_clouds
 from exprgg import (
     brute_force_edges,
     build_grid_index,
@@ -127,7 +127,7 @@ def test_brute_force_hand_example():
 
 
 def test_grid_matches_brute_force_on_random_clouds():
-    mismatches = []
+    cases = []
     for case in range(100):
         case_seed = derive_replication_seed(99, case)
         u = uniform_stream(case_seed, 4)
@@ -135,16 +135,36 @@ def test_grid_matches_brute_force_on_random_clouds():
         d = 1 + int(u[1] * 3) % 3
         lam = 0.5 + 1.5 * u[2]
         y = float(u[3]) * 1.5 / lam
-        cloud = sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0))
+        cases.append(
+            (sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0)), y)
+        )
+    cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in ys]
+    mismatches = []
+    for case, (cloud, y) in enumerate(cases):
         expected = brute_force_edges(cloud, y)
         index = build_grid_index(cloud, y)
         got = set()
-        for i in range(n):
+        for i in range(cloud.n):
             for j in neighbors_within(index, i, y):
                 got.add((i, j) if i < j else (j, i))
         if got != expected:
             mismatches.append(case)
     assert mismatches == []
+
+
+def test_grid_widens_cells_whose_keys_would_overflow():
+    # At cell_size 1 the key radix product of these cells exceeds 2^63, and
+    # cells (1, 1) and (2^32 + 1, 1) would share a key modulo 2^64.
+    cloud = make_cloud([[1.0, 1.0], [1.0 + 2.0**32, 1.0], [1.0, 2.0**32 - 2], [1.5, 1.5]])
+    index = build_grid_index(cloud, 1.0)
+    assert index.cell_size >= 1.0
+    cells = index.cells
+    assert sorted(np.concatenate(list(cells.values())).tolist()) == [0, 1, 2, 3]
+    for cell, ids in cells.items():
+        expected = np.floor(cloud.points[ids] / index.cell_size).astype(np.int64)
+        assert np.all(expected == np.asarray(cell))
+    assert neighbors_within(index, 0, 1.0) == {3}
+    assert neighbors_within(index, 1, 1.0) == set()
 
 
 def test_brute_force_matches_scalar_loops():
