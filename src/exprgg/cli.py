@@ -9,7 +9,6 @@ progress goes to the error stream.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import List, Optional
@@ -19,6 +18,8 @@ from .experiments import (
     EXPERIMENT_KINDS,
     KINDS,
     ExperimentSpec,
+    _csv_cell,
+    _json_object,
     emit,
     fmt17,
     run_experiment,
@@ -58,10 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-
-
-def _float_or_inf(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
 
 
 def _u64(text: str) -> int:
@@ -111,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_p.add_argument("--d", type=int, required=True)
 
     t_h = t_sub.add_parser("h", help="binomial tail rate function")
-    t_h.add_argument("--t", type=_float_or_inf, required=True)
+    t_h.add_argument("--t", type=float, required=True)
 
     for name in ("chernoff-upper", "chernoff-lower"):
         t_c = t_sub.add_parser(name, help=f"{name.split('-')[1]}-tail binomial bound")
@@ -121,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("a-min", "a-max", "bounds"):
         t_a = t_sub.add_parser(name, help="degree strong-law root(s)")
-        t_a.add_argument("--c", type=_float_or_inf, required=True)
+        t_a.add_argument("--c", type=float, required=True)
         t_a.add_argument("--lambda", dest="lam", type=float, required=True)
         t_a.add_argument("--d", type=int, required=True)
 
@@ -140,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("kind", choices=KINDS)
     p_exp.add_argument("--d", type=int)
     p_exp.add_argument("--lambda", dest="lam", type=float)
-    p_exp.add_argument("--c", type=_float_or_inf, default=None)
+    p_exp.add_argument("--c", type=float, default=None)
     p_exp.add_argument("--alpha", type=float, default=None)
     p_exp.add_argument("--beta", type=float, default=None)
     p_exp.add_argument("--n", type=_int_list, default=None, help="comma list of sizes")
@@ -168,22 +165,16 @@ def _cmd_sample(args) -> int:
 def _cmd_graph(args) -> int:
     cloud = sample_exponential_cloud(args.n, args.d, args.lam, args.seed)
     summ = degree_summary(cloud, args.y)
+    cells = {
+        "n": args.n, "d": args.d, "lambda": args.lam, "y": args.y, "seed": args.seed,
+        "epsilon_n": summ.epsilon_n, "min_degree": summ.min_degree,
+        "max_degree": summ.max_degree,
+    }
     if args.format == "csv":
-        print("n,d,lambda,y,seed,epsilon_n,min_degree,max_degree")
-        print(
-            f"{args.n},{args.d},{fmt17(args.lam)},{fmt17(args.y)},{args.seed},"
-            f"{summ.epsilon_n},{summ.min_degree},{summ.max_degree}"
-        )
+        print(",".join(cells))
+        print(",".join(_csv_cell(v) for v in cells.values()))
     else:
-        degrees = ", ".join(str(int(v)) for v in summ.degrees)
-        print(
-            "{"
-            f'"n": {args.n}, "d": {args.d}, "lambda": {fmt17(args.lam)}, '
-            f'"y": {fmt17(args.y)}, "seed": {args.seed}, '
-            f'"epsilon_n": {summ.epsilon_n}, "min_degree": {summ.min_degree}, '
-            f'"max_degree": {summ.max_degree}, "degrees": [{degrees}]'
-            "}"
-        )
+        print(_json_object({**cells, "degrees": summ.degrees}.items()))
     return EXIT_OK
 
 

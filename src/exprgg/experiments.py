@@ -12,9 +12,11 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO, Callable, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_type_hints,
+)
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .model import (
     RggConfig,
     TheoryBounds,
     _check_seed,
+    fmt17,
 )
 from .graphstats import degree_ratios, degree_summary, edge_density_gap
 from .sampling import derive_replication_seed, sample_exponential_cloud
@@ -46,23 +49,9 @@ DEFAULT_Y_GRID = tuple(i / 20 for i in range(1, 21))  # 0.05, 0.10, ..., 1.00
 
 _BLOCK_ENTRIES = 1 << 22  # cap on broadcast distance-matrix entries per step
 
-CSV_COLUMNS = (
-    "experiment", "n", "d", "lambda", "family", "param1", "param2",
-    "replication", "seed", "y_n", "epsilon_n", "min_degree", "max_degree",
-    "min_ratio", "max_ratio", "p_y", "gap", "contained", "has_edge",
-)
-
-# ResultRow attribute backing each CSV column ("lambda" is reserved in Python).
-_COLUMN_ATTRS = {"lambda": "lam"}
-
-_INT_COLUMNS = {"n", "d", "replication", "seed", "epsilon_n", "min_degree", "max_degree"}
-_BOOL_COLUMNS = {"contained", "has_edge"}
-_STR_COLUMNS = {"experiment", "family"}
-
-
-def fmt17(x: float) -> str:
-    """Render a float with 17 significant digits (enough to round-trip IEEE doubles)."""
-    return format(float(x), ".17g")
+# JSON and table name of each field whose Python name differs ("lambda" is
+# reserved in Python); every other field keeps its name.
+_WIRE_NAMES = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -127,8 +116,9 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One replication's outcome; fields that are not meaningful for the
-    experiment kind stay None and are emitted blank, never zero-filled."""
+    """One replication's outcome, one field per table column in column order;
+    fields that are not meaningful for the experiment kind stay None and are
+    emitted blank, never zero-filled."""
 
     experiment: str
     n: int
@@ -149,10 +139,10 @@ class ResultRow:
     gap: Optional[float] = None
     contained: Optional[bool] = None
     has_edge: Optional[bool] = None
-    bounds: Optional[TheoryBounds] = None  # attached for callers, never emitted
 
-    def value(self, column: str):
-        return getattr(self, _COLUMN_ATTRS.get(column, column))
+
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+CSV_COLUMNS = tuple(_WIRE_NAMES.get(name, name) for name in _ROW_FIELDS)
 
 
 @dataclass
@@ -221,7 +211,6 @@ def _degree_law_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfi
     return dict(
         min_degree=summ.min_degree, max_degree=summ.max_degree,
         min_ratio=min_ratio, max_ratio=max_ratio,
-        bounds=theory_bounds(spec.family.c, spec.lam, spec.d),
     )
 
 
@@ -468,31 +457,31 @@ def _csv_cell(v) -> str:
 
 
 def _json_cell(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return json.dumps(fmt17(v)) if not math.isfinite(v) else fmt17(v)
-    return json.dumps(v)
+    """A JSON literal: numbers as in the CSV table, anything else (null,
+    booleans, strings, lists, a non-finite float) through to_jsonable."""
+    if isinstance(v, (int, float, np.integer)) and not isinstance(v, bool) and math.isfinite(v):
+        return _csv_cell(v)
+    return json.dumps(to_jsonable(v))
+
+
+def _json_object(items) -> str:
+    """A one-line JSON object of (key, cell value) items."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {_json_cell(v)}" for k, v in items) + "}"
+
+
+def _row_items(row: ResultRow):
+    return zip(CSV_COLUMNS, (getattr(row, name) for name in _ROW_FIELDS))
 
 
 def _render_csv(table: Sequence[ResultRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in table:
-        lines.append(",".join(_csv_cell(row.value(col)) for col in CSV_COLUMNS))
+        lines.append(",".join(_csv_cell(v) for _, v in _row_items(row)))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(table: Sequence[ResultRow]) -> str:
-    body = []
-    for row in table:
-        cells = ", ".join(
-            f"{json.dumps(col)}: {_json_cell(row.value(col))}" for col in CSV_COLUMNS
-        )
-        body.append("  {" + cells + "}")
+    body = ["  " + _json_object(_row_items(row)) for row in table]
     return "[\n" + ",\n".join(body) + "\n]\n"
 
 
@@ -519,33 +508,34 @@ def emit(table: Sequence[ResultRow], fmt: str, destination: Union[str, IO[str]])
             raise OSError(f"cannot write table to {destination}: {exc}") from exc
 
 
+def _scalar_type(hint) -> type:
+    """int, float, bool or str: the type a row field holds when not None."""
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+_ROW_HINTS = get_type_hints(ResultRow)
+_COLUMN_TYPES = {
+    col: _scalar_type(_ROW_HINTS[name]) for col, name in zip(CSV_COLUMNS, _ROW_FIELDS)
+}
+
+
 def _parse_cell(column: str, raw):
     if raw is None or raw == "":
         return None
-    if column in _STR_COLUMNS:
-        return str(raw)
-    if column in _BOOL_COLUMNS:
-        if isinstance(raw, bool):
-            return raw
-        if raw in ("true", "false"):
-            return raw == "true"
-        raise ValueError(f"bad boolean {raw!r} in column {column}")
-    if column in _INT_COLUMNS:
-        return int(raw)
-    if isinstance(raw, str):
-        return float(raw)  # accepts 'inf'
-    return float(raw)
+    kind = _COLUMN_TYPES[column]
+    if kind is bool and not isinstance(raw, bool):
+        if raw not in ("true", "false"):
+            raise ValueError(f"bad boolean {raw!r} in column {column}")
+        return raw == "true"
+    return kind(raw)  # float() accepts 'inf'
 
 
 def _row_from_cells(cells: Dict[str, object]) -> ResultRow:
-    kwargs = {}
-    for col in CSV_COLUMNS:
-        kwargs[_COLUMN_ATTRS.get(col, col)] = _parse_cell(col, cells.get(col))
-    return ResultRow(**kwargs)
+    return ResultRow(*(_parse_cell(col, cells.get(col)) for col in CSV_COLUMNS))
 
 
 def parse_table(text: str, fmt: str) -> List[ResultRow]:
-    """Inverse of :func:`render_table` (the attached bounds are not recoverable)."""
+    """Inverse of :func:`render_table`."""
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
@@ -569,131 +559,66 @@ def read_table(path: str, fmt: str) -> List[ResultRow]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of the domain types (exact round-trip)
+# JSON form of the domain types (exact round-trip) and the run manifest
 # ---------------------------------------------------------------------------
 
-def _enc_float(x: float):
-    return x if math.isfinite(x) else fmt17(x)
+# The types from_jsonable builds, by the name in their "type" tag; it
+# resolves no other class name.
+_JSON_TYPES = {
+    cls.__name__: cls
+    for cls in (PointCloud, RggConfig, DegreeSummary, LogRegime, PowerFamily,
+                TheoryBounds, ExperimentSpec)
+}
 
 
-def _dec_float(v) -> float:
-    return float(v)
+def to_jsonable(obj):
+    """The strict-JSON form of ``obj``; from_jsonable inverts it exactly.
 
-
-def to_jsonable(obj) -> dict:
-    """A JSON-ready dict for any domain type; from_jsonable inverts it exactly."""
-    if isinstance(obj, PointCloud):
-        return {
-            "type": "PointCloud", "d": obj.d, "seed": obj.seed, "lambda": obj.lam,
-            "points": [[float(v) for v in row] for row in obj.points],
-        }
-    if isinstance(obj, RggConfig):
-        return {
-            "type": "RggConfig", "n": obj.n, "d": obj.d, "lambda": obj.lam,
-            "y": _enc_float(obj.y), "seed": obj.seed,
-        }
-    if isinstance(obj, DegreeSummary):
-        return {
-            "type": "DegreeSummary", "degrees": [int(v) for v in obj.degrees],
-            "epsilon_n": obj.epsilon_n, "min_degree": obj.min_degree,
-            "max_degree": obj.max_degree,
-        }
-    if isinstance(obj, LogRegime):
-        return {"type": "LogRegime", "c": _enc_float(obj.c), "lambda": obj.lam, "d": obj.d}
-    if isinstance(obj, PowerFamily):
-        return {
-            "type": "PowerFamily", "alpha": obj.alpha, "beta": obj.beta,
-            "lambda": obj.lam, "d": obj.d,
-        }
-    if isinstance(obj, TheoryBounds):
-        return {
-            "type": "TheoryBounds", "lambda_pow_d": obj.lambda_pow_d,
-            "a_min": obj.a_min, "a_max": obj.a_max,
-            "a_min_has_root": obj.a_min_has_root,
-            "min_liminf_bound": obj.min_liminf_bound,
-            "min_limsup_bound": obj.min_limsup_bound,
-            "max_liminf_bound": obj.max_liminf_bound,
-            "max_limsup_bound": obj.max_limsup_bound,
-        }
-    if isinstance(obj, ExperimentSpec):
-        return {
-            "type": "ExperimentSpec", "kind": obj.kind, "n_list": list(obj.n_list),
-            "d": obj.d, "lambda": obj.lam, "replications": obj.replications,
-            "base_seed": obj.base_seed,
-            "family": to_jsonable(obj.family) if obj.family is not None else None,
-            "y_grid": list(obj.y_grid) if obj.y_grid is not None else None,
-            "epsilon": obj.epsilon,
-        }
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
+    A domain type becomes {"type": its class name, field: value, ...} in field
+    order, with _WIRE_NAMES renaming fields. Arrays, tuples and lists become
+    lists and dicts are walked. A non-finite float becomes its 17-digit
+    string; every other value passes unchanged.
+    """
+    if _JSON_TYPES.get(type(obj).__name__) is type(obj):
+        out = {"type": type(obj).__name__}
+        for f in fields(obj):
+            out[_WIRE_NAMES.get(f.name, f.name)] = to_jsonable(getattr(obj, f.name))
+        return out
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return fmt17(obj)
+    return obj
 
 
 def from_jsonable(data: dict):
-    """Inverse of :func:`to_jsonable`. Malformed input raises ValueError that
-    names the missing field or the wrong type."""
+    """Inverse of :func:`to_jsonable` for a domain type. Unknown keys are
+    ignored, and each type's constructor normalises and validates the values.
+    Malformed input raises ValueError that names the missing field or the
+    wrong type."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    kind = data.get("type")
-    try:
-        return _decode(kind, data)
-    except KeyError as exc:
-        raise ValueError(f"{kind} object is missing field {exc.args[0]!r}") from None
-
-
-def _decode(kind, data: dict):
-    if kind == "PointCloud":
-        return PointCloud(
-            d=data["d"], points=np.asarray(data["points"], dtype=np.float64),
-            seed=data["seed"], lam=data["lambda"],
-        )
-    if kind == "RggConfig":
-        return RggConfig(
-            n=data["n"], d=data["d"], lam=data["lambda"],
-            y=_dec_float(data["y"]), seed=data["seed"],
-        )
-    if kind == "DegreeSummary":
-        return DegreeSummary(
-            degrees=np.asarray(data["degrees"], dtype=np.int64),
-            epsilon_n=data["epsilon_n"], min_degree=data["min_degree"],
-            max_degree=data["max_degree"],
-        )
-    if kind == "LogRegime":
-        return LogRegime(c=_dec_float(data["c"]), lam=data["lambda"], d=data["d"])
-    if kind == "PowerFamily":
-        return PowerFamily(
-            alpha=data["alpha"], beta=data["beta"], lam=data["lambda"], d=data["d"]
-        )
-    if kind == "TheoryBounds":
-        return TheoryBounds(
-            lambda_pow_d=data["lambda_pow_d"], a_min=data["a_min"],
-            a_max=data["a_max"], a_min_has_root=data["a_min_has_root"],
-        )
-    if kind == "ExperimentSpec":
-        family = data.get("family")
-        y_grid = data.get("y_grid")
-        return ExperimentSpec(
-            kind=data["kind"], n_list=tuple(data["n_list"]), d=data["d"],
-            lam=data["lambda"], replications=data["replications"],
-            base_seed=data["base_seed"],
-            family=from_jsonable(family) if family is not None else None,
-            y_grid=tuple(y_grid) if y_grid is not None else None,
-            epsilon=data.get("epsilon"),
-        )
-    raise ValueError(f"cannot decode object of type {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Run manifest
-# ---------------------------------------------------------------------------
-
-def _sanitize(obj):
-    """Replace non-finite floats with their string form so the JSON stays strict."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return fmt17(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+    cls = _JSON_TYPES.get(data.get("type"))
+    if cls is None:
+        raise ValueError(f"cannot decode object of type {data.get('type')!r}")
+    kwargs = {}
+    for f in fields(cls):
+        name = _WIRE_NAMES.get(f.name, f.name)
+        if name not in data:
+            if f.default is MISSING:
+                raise ValueError(f"{cls.__name__} object is missing field {name!r}")
+            continue
+        value = data[name]
+        if isinstance(value, dict):
+            value = from_jsonable(value)
+        elif isinstance(value, str) and f.type not in ("str", str):
+            value = float(value)  # the string form of a non-finite float
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def manifest_path_for(output_path: str) -> str:
@@ -701,9 +626,9 @@ def manifest_path_for(output_path: str) -> str:
 
 
 def build_manifest(result: ExperimentResult, output_path: str, fmt: str) -> dict:
-    return _sanitize({
+    return to_jsonable({
         "artifact": {"name": ARTIFACT_NAME, "version": ARTIFACT_VERSION},
-        "spec": to_jsonable(result.spec),
+        "spec": result.spec,
         "output": {"path": str(output_path), "format": fmt, "rows": len(result.rows)},
         "theory": result.theory,
         "summary": result.summaries,

@@ -20,15 +20,21 @@ def degree_summary(
     """Degrees, edge count and degree extremes of the graph G_n(y) on ``cloud``.
 
     Two vertices are adjacent iff their l-inf distance is <= y (inclusive).
-    Degrees are accumulated from grid candidate pairs in vectorized chunks;
-    memory stays O(n) plus one bounded chunk. An existing ``index`` may be
-    passed as long as its cell_size is >= y.
+    When y covers the cloud's extent on every axis the graph is complete and
+    no index is built. Otherwise degrees are accumulated from grid candidate
+    pairs in vectorized chunks; memory stays O(n) plus one bounded chunk. An
+    existing ``index`` may be passed as long as its cell_size is >= y.
     """
     n = cloud.n
     if n < 2:
         raise ValueError(f"degree statistics need n >= 2 points, got {n}")
     if y < 0.0:
         raise ValueError(f"y must be >= 0, got {y}")
+    span = cloud.points.max(axis=0) - cloud.points.min(axis=0)
+    if np.all(span <= y):
+        # Complete graph: subtraction is monotone in each operand, so every
+        # pair's computed distance is at most the computed span.
+        return DegreeSummary.from_degrees(np.full(n, n - 1, dtype=np.int64))
     deg = np.zeros(n, dtype=np.int64)
     if y == 0.0:
         # Only exactly coincident points are adjacent.

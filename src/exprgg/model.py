@@ -16,6 +16,11 @@ import numpy as np
 U64_MAX = 2**64 - 1
 
 
+def fmt17(x: float) -> str:
+    """Render a float with 17 significant digits (enough to round-trip IEEE doubles)."""
+    return format(float(x), ".17g")
+
+
 def _check_seed(seed: int, what: str = "seed") -> None:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"{what} must be an integer, got {seed!r}")
@@ -95,6 +100,7 @@ class RggConfig:
         if not self.y >= 0.0:
             raise ValueError(f"edge distance y must be >= 0, got {self.y}")
         _check_seed(self.seed)
+        object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -177,6 +183,7 @@ class LogRegime:
             raise ValueError(f"lam must be a positive finite rate, got {self.lam}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        object.__setattr__(self, "c", float(self.c))
 
 
 @dataclass(frozen=True)

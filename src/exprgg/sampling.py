@@ -20,7 +20,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .model import U64_MAX, PointCloud, _check_seed
+from .model import U64_MAX, PointCloud, _check_seed, fmt17
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -114,19 +114,15 @@ def sample_exponential_cloud(n: int, d: int, lam: float, seed: int) -> PointClou
     return PointCloud(d=d, points=coords, seed=int(seed), lam=lam)
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_cloud(cloud: PointCloud, destination: Union[str, IO[str]]) -> None:
     """Write a cloud in the one-point-per-line dump format (see README)."""
     header = (
         f"{CLOUD_HEADER_PREFIX} n={cloud.n} d={cloud.d} "
-        f"lambda={_fmt17(cloud.lam)} seed={cloud.seed}\n"
+        f"lambda={fmt17(cloud.lam)} seed={cloud.seed}\n"
     )
     lines = [header]
     for row in cloud.points:
-        lines.append(" ".join(_fmt17(v) for v in row) + "\n")
+        lines.append(" ".join(fmt17(v) for v in row) + "\n")
     text = "".join(lines)
     if hasattr(destination, "write"):
         destination.write(text)

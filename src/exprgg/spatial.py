@@ -143,22 +143,21 @@ def build_grid_index(cloud: PointCloud, cell_size: float) -> GridIndex:
 
 
 def _block_pairs(
-    index: GridIndex, groups_a: np.ndarray, groups_b: np.ndarray, chunk: int
+    index: GridIndex,
+    start_a: np.ndarray, size_a: np.ndarray,
+    start_b: np.ndarray, size_b: np.ndarray,
+    chunk: int,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """All (vertex in A-group, vertex in B-group) pairs for matched group arrays,
-    yielded as flat id arrays in chunks of at most ``chunk`` pairs."""
-    counts = np.diff(index._starts)
-    size_a = counts[groups_a]
-    size_b = counts[groups_b]
-    pairs = size_a * size_b
-    cum = np.concatenate(([0], np.cumsum(pairs)))
+    """All (A member, B member) pairs of the blocks k, where block k's A and
+    B are the member-position ranges [start_a[k], start_a[k] + size_a[k]) and
+    [start_b[k], start_b[k] + size_b[k]); yielded as flat vertex-id arrays in
+    chunks of at most ``chunk`` pairs."""
+    cum = np.concatenate(([0], np.cumsum(size_a * size_b)))
     total = int(cum[-1])
-    start_a = index._starts[groups_a]
-    start_b = index._starts[groups_b]
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         flat = np.arange(lo, hi, dtype=np.int64)
-        blk = np.searchsorted(cum, flat, side="right") - 1
+        blk = np.searchsorted(cum, flat, side="right") - 1  # skips empty blocks
         within = flat - cum[blk]
         ai = within // size_b[blk]
         bi = within % size_b[blk]
@@ -174,14 +173,18 @@ def iter_candidate_pairs(
     This is a superset of the pairs at l-inf distance <= cell_size; callers
     filter by actual distance.
     """
-    groups = np.arange(index.n_cells, dtype=np.int64)
-    # Same-cell pairs: keep the ordered pairs with left id < right id.
-    for left, right in _block_pairs(index, groups, groups, chunk):
-        keep = left < right
-        if np.any(keep):
-            yield left[keep], right[keep]
+    starts = index._starts
+    counts = np.diff(starts)
+    # Same-cell pairs: one block per member position, pairing that member
+    # with the members after it in its cell, so each pair appears once.
+    pos = np.arange(len(index._members), dtype=np.int64)
+    after = np.repeat(starts[1:], counts) - pos - 1
+    yield from _block_pairs(index, pos, np.ones_like(pos), pos + 1, after, chunk)
     for groups_a, groups_b in index._adjacent:
-        yield from _block_pairs(index, groups_a, groups_b, chunk)
+        yield from _block_pairs(
+            index, starts[groups_a], counts[groups_a], starts[groups_b], counts[groups_b],
+            chunk,
+        )
 
 
 def iter_matched_blocks(

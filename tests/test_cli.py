@@ -116,6 +116,16 @@ def test_graph_csv_and_json(capsys):
     assert data["epsilon_n"] == int(cells["epsilon_n"])
     assert len(data["degrees"]) == 50
     assert sum(data["degrees"]) == 2 * data["epsilon_n"]
+    # y = inf: a complete graph, and the JSON stays strict (y as a string)
+    args[args.index("0.3")] = "inf"
+    code, out_csv, _ = run_cli(capsys, *args)
+    assert code == 0
+    cells = dict(zip(header.split(","), out_csv.strip().splitlines()[1].split(",")))
+    assert cells["y"] == "inf" and cells["min_degree"] == cells["max_degree"] == "49"
+    code, out_json, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    data = json.loads(out_json)
+    assert data["y"] == "inf" and data["degrees"] == [49] * 50
 
 
 def test_identical_argv_identical_stdout(capsys):
@@ -206,8 +216,15 @@ def test_experiment_missing_family_exits_one(tmp_path, capsys):
           "replications": 1, "base_seed": 1}, "missing field 'kind'"),
         ({"spec": 3}, "got int"),
         ([{"type": "ExperimentSpec"}], "got list"),
+        ({"type": "ExperimentSpec", "kind": "degree-law", "n_list": [100], "d": 1,
+          "lambda": 1.0, "replications": 1, "base_seed": 1,
+          "family": {"type": "LogRegime", "lambda": 1.0, "d": 1}}, "missing field 'c'"),
+        ({"type": "ExperimentSpec", "kind": "degree-law", "n_list": [100], "d": 1,
+          "lambda": 1.0, "replications": 1, "base_seed": 1,
+          "family": {"type": "Regime", "c": 4, "lambda": 1.0, "d": 1}},
+         "cannot decode object of type 'Regime'"),
     ],
-    ids=["no-kind", "spec-not-object", "top-level-list"],
+    ids=["no-kind", "spec-not-object", "top-level-list", "family-no-c", "family-unknown-type"],
 )
 def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"

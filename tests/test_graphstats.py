@@ -63,9 +63,17 @@ def test_matches_brute_force_on_random_clouds():
         expected = summary_from_edges(n, brute_force_edges(cloud, y))
         assert degree_summary(cloud, y) == expected
     for cloud, ys in tie_and_overflow_clouds():
-        for y in ys:
+        # Also at the cloud's exact l-inf diameter (a complete graph, which
+        # degree_summary answers without an index) and one ulp below it.
+        diameter = float(np.ptp(cloud.points, axis=0).max())
+        for y in (*ys, diameter, float(np.nextafter(diameter, 0.0))):
             expected = summary_from_edges(cloud.n, brute_force_edges(cloud, y))
             assert degree_summary(cloud, y) == expected, (cloud.d, y)
+    # y = inf joins every pair; brute force over 2e8 pairs is too slow, and
+    # the complete graph is the answer it would give.
+    n = 20000
+    summ = degree_summary(sample_exponential_cloud(n, 1, 1.0, 1), np.inf)
+    assert summ == DegreeSummary.from_degrees(np.full(n, n - 1))
 
 
 def test_handshake_and_bound_chain():

@@ -141,10 +141,31 @@ def test_theory_bounds_fields():
             base_seed=42,
             family=LogRegime(c=4.0, lam=1.0, d=1),
         ),
+        RggConfig(n=5, d=1, lam=1.0, y=math.inf, seed=3),
+        ExperimentSpec(
+            kind="uniform-slln", n_list=(50,), d=2, lam=0.5, replications=1,
+            base_seed=1, y_grid=(0.1, 0.5, 1.0),
+        ),
+        ExperimentSpec(
+            kind="containment", n_list=(50, 80), d=2, lam=1.0, replications=2,
+            base_seed=2, epsilon=0.5,
+        ),
+        ExperimentSpec(
+            kind="threshold", n_list=(100,), d=1, lam=1.0, replications=4,
+            base_seed=3, family=PowerFamily(alpha=1.0, beta=3.0, lam=1.0, d=1),
+        ),
+        ExperimentSpec(
+            kind="edge-slln", n_list=(60,), d=1, lam=1, replications=1,
+            base_seed=4, family=LogRegime(c=2.0, lam=1, d=1),
+        ),
     ],
 )
 def test_json_round_trip_exact(obj):
     import json
 
-    dumped = json.dumps(to_jsonable(obj), allow_nan=False)
+    data = to_jsonable(obj)
+    if type(getattr(obj, "lam", None)) is int:
+        # a spec file's integer lambda is written back as it was read
+        assert type(data["lambda"]) is int and type(data["family"]["lambda"]) is int
+    dumped = json.dumps(data, allow_nan=False)
     assert from_jsonable(json.loads(dumped)) == obj
