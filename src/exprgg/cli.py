@@ -1,5 +1,6 @@
 """Command-line front end: sampling, graph statistics, closed-form values,
-grid-vs-brute-force verification, and the experiment suites.
+verification of the neighbour engines against brute force, and the
+experiment suites.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 verification
 mismatch. Identical argv always produces byte-identical standard output;
@@ -128,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     t_r.add_argument("--d", type=int, required=True)
     t_r.add_argument("--epsilon", type=float, default=0.0)
 
-    p_verify = sub.add_parser("verify", help="grid index vs brute force oracle sweep")
+    p_verify = sub.add_parser(
+        "verify",
+        help="grid neighbour queries and degree_summary (sorted sweep at d = 1, "
+        "grid at d >= 2) vs the brute force oracle",
+    )
     p_verify.add_argument("--cases", type=int, required=True)
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument("--seed", type=_u64, required=True)
@@ -233,11 +238,16 @@ def _cmd_verify(args) -> int:
             expected_degrees[a] += 1
             expected_degrees[b] += 1
         summ = degree_summary(cloud, y)
-        degrees_ok = list(summ.degrees) == expected_degrees
-        if got != expected or not degrees_ok:
+        failed = [
+            name for name, ok in (("neighbors", got == expected),
+                                  ("degrees", list(summ.degrees) == expected_degrees))
+            if not ok
+        ]
+        if failed:
             mismatches += 1
             print(
-                f"case {case}: MISMATCH (n={n}, d={d}, lambda={fmt17(lam)}, y={fmt17(y)})",
+                f"case {case}: MISMATCH (n={n}, d={d}, lambda={fmt17(lam)}, y={fmt17(y)})"
+                f" in {', '.join(failed)}",
                 file=sys.stderr,
             )
     print(f"verify: {args.cases} cases, {args.cases - mismatches} matched")

@@ -34,7 +34,7 @@ from .model import (
 )
 from .graphstats import degree_ratios, degree_summary, edge_density_gap
 from .sampling import derive_replication_seed, sample_exponential_cloud
-from .spatial import build_grid_index, iter_matched_blocks
+from .spatial import build_grid_index, iter_matched_blocks, sorted_window_ends
 from .theory import (
     containment_radius,
     edge_distance,
@@ -96,6 +96,11 @@ class ExperimentSpec:
         if self.family is not None:
             if self.family.lam != self.lam or self.family.d != self.d:
                 raise ValueError("family (lam, d) must match the spec's (lam, d)")
+        if kind.finite_c and not math.isfinite(self.family.c):
+            raise ValueError(
+                f"{self.kind} needs a finite c: its degree ratios divide by n * y_n^d, "
+                f"which is infinite at c = {self.family.c}"
+            )
         if kind.y_grid:
             grid = tuple(float(y) for y in (self.y_grid or ()))
             if not grid:
@@ -162,18 +167,23 @@ def _family_columns(family: Optional[EdgeDistanceFamily]):
 
 
 def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
-    """Edge counts of G_n(y) for every y in an ascending grid, one grid pass.
+    """Edge counts of G_n(y) for every y in an ascending grid, boundary-inclusive.
 
-    One index at cell_size = max(y) covers the whole grid; distances are
-    computed block-by-block with broadcasting (the cells are large here), and
-    each pair is binned once, boundary-inclusive. Same-cell blocks produce
-    the full symmetric distance matrix, so their tallies are halved after
-    removing the zero self-distances.
+    At d = 1 the coordinates are sorted once and each y costs one
+    sorted-window pass; no pair is enumerated. At d >= 2 one index at
+    cell_size = max(y) covers the whole grid; distances are computed
+    block-by-block with broadcasting (the cells are large here), and each
+    pair is binned once. Same-cell blocks produce the full symmetric distance
+    matrix, so their tallies are halved after removing the zero
+    self-distances.
     """
     ys = np.asarray(y_values, dtype=np.float64)
+    if cloud.d == 1:
+        xs = np.sort(cloud.points[:, 0])
+        start = np.arange(1, cloud.n + 1)  # where each forward window starts
+        return np.array([(sorted_window_ends(xs, y) - start).sum() for y in ys])
     index = build_grid_index(cloud, float(ys[-1]))
     pts = cloud.points
-    axis0 = pts[:, 0]
     m = len(ys)
     cum_cross = np.zeros(m, dtype=np.int64)
     cum_same = np.zeros(m, dtype=np.int64)
@@ -185,10 +195,7 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
         row_step = max(1, _BLOCK_ENTRIES // max(len(block_b), 1))
         for lo in range(0, len(block_a), row_step):
             sub = block_a[lo:lo + row_step]
-            if cloud.d == 1:
-                dist = np.abs(axis0[sub, None] - axis0[None, block_b])
-            else:
-                dist = np.abs(pts[sub, None, :] - pts[None, block_b, :]).max(axis=2)
+            dist = np.abs(pts[sub, None, :] - pts[None, block_b, :]).max(axis=2)
             for j in range(m):
                 acc[j] += np.count_nonzero(dist <= ys[j])
     return cum_cross + (cum_same - n_self) // 2
@@ -347,7 +354,7 @@ class ExperimentKind:
     """One experiment kind: its own row columns for a sampled cloud, the
     summary of one n's rows, and the manifest's theory block; plus the spec
     parameters it takes (accepted family types, none if empty; a y-grid;
-    an escape exponent epsilon)."""
+    an escape exponent epsilon) and whether its LogRegime c must be finite."""
 
     columns: Callable[[ExperimentSpec, PointCloud], dict]
     summary: Callable[[ExperimentSpec, List[ResultRow]], dict]
@@ -355,12 +362,13 @@ class ExperimentKind:
     families: Tuple[type, ...] = ()
     y_grid: bool = False
     epsilon: bool = False
+    finite_c: bool = False
 
 
 EXPERIMENT_KINDS: Dict[str, ExperimentKind] = {
     "degree-law": ExperimentKind(
         partial(_graph_columns, own=_degree_law_columns), _summary_degree_law,
-        _theory_degree_law, families=(LogRegime,),
+        _theory_degree_law, families=(LogRegime,), finite_c=True,
     ),
     "edge-slln": ExperimentKind(
         partial(_graph_columns, own=_edge_slln_columns), _summary_edge_slln,

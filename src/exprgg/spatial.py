@@ -1,5 +1,6 @@
-"""l-infinity geometry: the metric, a uniform-grid fixed-radius index, and
-the brute-force pairwise scan that serves as its correctness oracle.
+"""l-infinity geometry: the metric, a uniform-grid fixed-radius index, the
+d = 1 sorted-window sweep, and the brute-force pairwise scan that serves as
+the correctness oracle of both.
 
 The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 (IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
@@ -9,7 +10,9 @@ lookup. The index matches each occupied cell with its occupied neighbours
 once, at build time; pair enumeration, block enumeration and single-point
 queries all read that one table. Candidate pairs are generated in vectorized
 chunks; the Python-level work is O(3^d) steps plus one per chunk, not O(n)
-or O(pairs).
+or O(pairs). At d = 1 a radius-y neighbourhood is a window of the sorted
+coordinates, so ``sorted_window_ends`` counts neighbours without
+enumerating a pair; callers choose it by d alone.
 """
 
 from __future__ import annotations
@@ -223,6 +226,39 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
     dist = np.abs(index.cloud.points[cand] - index.cloud.points[i]).max(axis=1)
     hits = cand[dist <= y]
     return {int(j) for j in hits if j != i}
+
+
+def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:
+    """For ascending ``xs`` and finite y >= 0, ``ends[i]`` is one past the
+    last j with fl(xs[j] - xs[i]) <= y, so i's forward window is
+    [i + 1, ends[i]).
+
+    This is the d = 1 sort-sweep of Bentley, Stanat & Williams: no pair is
+    enumerated. ``searchsorted`` on ``xs + y`` can land off by a run where
+    fl(xs[i] + y) and the oracle's fl(xs[j] - xs[i]) round differently, so
+    each window is repaired against the subtraction itself until nothing
+    moves. The subtraction is monotone in j, so a window only ever grows or
+    only ever shrinks, and each step jumps a whole run of equal coordinates:
+    the step count is bounded by the distinct values in the rounding band,
+    not by their multiplicity.
+    """
+    n = len(xs)
+    ends = np.searchsorted(xs, xs + y, side="right")
+    todo = np.arange(n)
+    while todo.size:
+        e = ends[todo]
+        base = xs[todo]
+        after = xs[np.minimum(e, n - 1)]  # first point outside the window
+        last = xs[e - 1]  # last point inside it; e > i always
+        grow = (e < n) & (after - base <= y)
+        moved = grow | (last - base > y)
+        todo, grow, after, last = todo[moved], grow[moved], after[moved], last[moved]
+        ends[todo] = np.where(
+            grow,
+            np.searchsorted(xs, after, side="right"),
+            np.searchsorted(xs, last, side="left"),
+        )
+    return ends
 
 
 def brute_force_edges(cloud: PointCloud, y: float) -> Set[Tuple[int, int]]:

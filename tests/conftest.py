@@ -85,6 +85,11 @@ def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
     - A d = 3 cloud of near-coincident pairs at y = 1e-9: at that cell size
       the per-axis cell spans multiply past int64, so the grid must widen its
       cells to keep every cell key distinct.
+    - d = 1 clouds where fl(x_i + y) and fl(x_j - x_i) round to different
+      sides of a neighbour, so the sorted sweep's first ``searchsorted``
+      window is wrong and must be repaired: a decimal lattice (k/10) at
+      decimal y, and a continuous cloud at y equal to realised gaps
+      |x_i - x_j|.
     """
     rng = np.random.default_rng(2024)
     out = [
@@ -94,4 +99,38 @@ def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
     base = 1.0 + rng.exponential(size=(150, 3))
     steps = rng.choice([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9], size=base.shape)
     out.append((make_cloud(np.concatenate((base, base + steps))), (1e-9,)))
+    out.append((make_cloud(rng.integers(0, 30, size=150) / 10.0), (0.1, 0.3, 0.6, 0.7)))
+    xs = np.concatenate((rng.exponential(size=150), 1e3 + rng.exponential(size=150)))
+    lo, hi = np.sort(xs[rng.integers(0, len(xs), size=(4000, 2))], axis=1).T
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    gaps = hi - lo
+    below = np.nextafter(gaps, 0.0)
+    # y = gap where x_lo + y rounds below x_hi (the window must grow to take
+    # x_hi), y one ulp below a gap where x_lo + y still reaches x_hi (it must
+    # shrink to drop it), and one gap across the two magnitudes.
+    ys = np.concatenate((
+        gaps[lo + gaps < hi][:2], below[lo + below >= hi][:2], gaps[gaps > 1.0][:1],
+    ))
+    out.append((make_cloud(xs), tuple(float(y) for y in np.unique(ys))))
     return out
+
+
+def few_value_cloud() -> Tuple[PointCloud, Tuple[float, ...], List[np.ndarray]]:
+    """20,000 d = 1 points on 5 distinct decimal values, y values below, at
+    and above the value spacings, and the degrees at each y in closed form.
+
+    Brute force is too slow at this size. Every point on a value has the
+    same degree: the points on the values within y of it, less itself.
+    Each value's run holds about 4,000 equal coordinates, which a sweep must
+    step over as a whole.
+    """
+    values = np.array([0.3, 0.4, 1.8, 2.0, 2.1])
+    label = np.random.default_rng(5).integers(0, len(values), size=20000)
+    counts = np.bincount(label, minlength=len(values))
+    spacings = np.abs(values[:, None] - values[None, :])
+    gaps = np.unique(spacings[spacings > 0])
+    ys = np.unique(np.concatenate((
+        [0.0, 0.05, 0.1, 0.2, 1.5], gaps, np.nextafter(gaps, 0.0), np.nextafter(gaps, 3.0),
+    )))
+    degrees = [((spacings <= y) @ counts - 1)[label] for y in ys]
+    return make_cloud(values[label]), tuple(float(y) for y in ys), degrees

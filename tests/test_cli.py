@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from exprgg.cli import main
@@ -141,6 +142,21 @@ def test_verify_small_sweep(capsys):
     assert out == "verify: 25 cases, 25 matched\n"
 
 
+def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
+    from exprgg import cli
+    from exprgg.model import DegreeSummary
+
+    # The complete graph, which none of these cases' graphs is.
+    monkeypatch.setattr(
+        cli, "degree_summary",
+        lambda cloud, y: DegreeSummary.from_degrees(np.full(cloud.n, cloud.n - 1)),
+    )
+    code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
+    assert code == 3
+    assert out == "verify: 3 cases, 0 matched\n"
+    assert err.count("in degrees\n") == 3 and "neighbors" not in err
+
+
 def test_experiment_writes_table_and_manifest(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, stdout, stderr = run_cli(
@@ -207,6 +223,26 @@ def test_experiment_missing_family_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "--c" in err
+
+
+def test_experiment_degree_law_refuses_infinite_c(tmp_path, capsys, monkeypatch):
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validation")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    argv = ["--d", "1", "--lambda", "1", "--c", "inf", "--n", "50", "--reps", "1",
+            "--seed", "1"]
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "experiment", "degree-law", *argv, "--out", str(out))
+    assert code == 1
+    assert "Traceback" not in err and "finite c" in err
+    assert not out.exists()
+    # edge-slln takes c = inf: a complete graph, its edge density exactly 1
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "experiment", "edge-slln", *argv, "--out", str(out))
+    assert code == 0 and out.exists()
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from exprgg.experiments import (
     spec_from_json_file,
     write_manifest,
 )
-from conftest import tie_and_overflow_clouds
+from conftest import few_value_cloud, tie_and_overflow_clouds
 from exprgg.sampling import derive_replication_seed
 
 
@@ -151,6 +151,9 @@ def test_uniform_sup_dominates_every_grid_point():
     for cloud, ys in tie_and_overflow_clouds():
         counts = _edge_counts_multi(cloud, np.asarray(ys))
         assert list(counts) == [len(brute_force_edges(cloud, y)) for y in ys], cloud.d
+    cloud, ys, degrees = few_value_cloud()
+    counts = _edge_counts_multi(cloud, np.asarray(ys))
+    assert list(counts) == [int(deg.sum()) // 2 for deg in degrees]
 
 
 def test_uniform_sup_gap_shrinks_with_n():
@@ -281,8 +284,9 @@ def test_manifest_round_trip(tmp_path):
 def test_spec_json_handles_infinite_c(tmp_path):
     from exprgg import to_jsonable
 
+    # edge-slln, since degree-law refuses c = inf (its ratios divide by y^d)
     spec = small_spec(
-        n_list=(10,), replications=1,
+        "edge-slln", n_list=(10,), replications=1,
         family=LogRegime(c=math.inf, lam=1.0, d=1),
     )
     path = tmp_path / "spec.json"

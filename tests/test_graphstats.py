@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_cloud, tie_and_overflow_clouds
+from conftest import few_value_cloud, make_cloud, tie_and_overflow_clouds
 from exprgg import (
     RggConfig,
     brute_force_edges,
@@ -51,6 +51,13 @@ def test_needs_two_points():
         degree_summary(make_cloud([0.0]), 1.0)
 
 
+def test_rejects_negative_or_nan_y():
+    for points in ([0.0, 0.5, 1.2], [[0.0, 1.0], [0.5, 0.2]]):
+        for y in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="y must be >= 0"):
+                degree_summary(make_cloud(points), y)
+
+
 def test_matches_brute_force_on_random_clouds():
     for case in range(60):
         case_seed = derive_replication_seed(7, case)
@@ -74,6 +81,11 @@ def test_matches_brute_force_on_random_clouds():
     n = 20000
     summ = degree_summary(sample_exponential_cloud(n, 1, 1.0, 1), np.inf)
     assert summ == DegreeSummary.from_degrees(np.full(n, n - 1))
+    # As many points on 5 values, below, at and above each spacing: degrees
+    # in closed form.
+    cloud, ys, degrees = few_value_cloud()
+    for y, expected in zip(ys, degrees):
+        assert degree_summary(cloud, y) == DegreeSummary.from_degrees(expected), y
 
 
 def test_handshake_and_bound_chain():

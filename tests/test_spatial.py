@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from exprgg import (
     sample_exponential_cloud,
 )
 from exprgg.sampling import derive_replication_seed, uniform_stream
+from exprgg.spatial import sorted_window_ends
 
 
 def test_linf_examples():
@@ -150,6 +153,39 @@ def test_grid_matches_brute_force_on_random_clouds():
         if got != expected:
             mismatches.append(case)
     assert mismatches == []
+
+
+def test_sorted_window_ends_matches_a_per_point_scan():
+    def scan(xs, y):
+        return np.array([np.flatnonzero(xs - x <= y).max() + 1 for x in xs])
+
+    # Coordinates the sweep's callers never pass (negative, mixed magnitude)
+    # make fl(x_i + y) miss several distinct values at once: from -2^53 at
+    # y = 2^53, fl(x + 2^53) rounds to 2^53 for every x in [0.1, 1], while
+    # -2^53 + 2^53 = 0 starts the window before all of them.
+    cases = [(np.array([-2.0**53, *(k / 10 for k in range(1, 11))]), 2.0**53)]
+    for cloud, ys in tie_and_overflow_clouds():
+        if cloud.d == 1:
+            xs = np.sort(cloud.points[:, 0])
+            cases += [(xs, y) for y in ys]
+    for xs, y in cases:
+        assert np.array_equal(sorted_window_ends(xs, y), scan(xs, y)), y
+
+
+def test_sorted_window_ends_jumps_runs_of_equal_coordinates():
+    # One window must grow (0.2 + fl(0.9 - 0.2) < 0.9) or shrink
+    # (0.1 + (0.1 - ulp) >= 0.2, but 0.2 - 0.1 > 0.1 - ulp) across a run of a
+    # million equal coordinates. Whole-run jumps take a few milliseconds;
+    # stepping one position at a time would take a million passes, tens of
+    # seconds, which the generous time limit catches.
+    run = 10**6
+    start = time.perf_counter()
+    grow = sorted_window_ends(np.r_[0.2, np.full(run, 0.9)], 0.9 - 0.2)
+    shrink = sorted_window_ends(np.r_[0.1, np.full(run, 0.2)], np.nextafter(0.1, 0.0))
+    elapsed = time.perf_counter() - start
+    assert grow[0] == run + 1 and shrink[0] == 1
+    assert np.all(grow[1:] == run + 1) and np.all(shrink[1:] == run + 1)
+    assert elapsed < 5.0
 
 
 def test_grid_widens_cells_whose_keys_would_overflow():
