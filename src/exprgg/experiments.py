@@ -96,11 +96,21 @@ class ExperimentSpec:
         if self.family is not None:
             if self.family.lam != self.lam or self.family.d != self.d:
                 raise ValueError("family (lam, d) must match the spec's (lam, d)")
-        if kind.finite_c and not math.isfinite(self.family.c):
-            raise ValueError(
-                f"{self.kind} needs a finite c: its degree ratios divide by n * y_n^d, "
-                f"which is infinite at c = {self.family.c}"
-            )
+        if kind.finite_c:
+            # The degree ratios divide by n * y_n^d; c = inf, or a finite c
+            # whose y_n overflows or underflows, would fail only after sampling.
+            for n in n_list:
+                y = edge_distance(self.family, n)
+                try:
+                    scale = n * y**self.d
+                except OverflowError:
+                    scale = math.inf
+                if not (0.0 < y < math.inf and 0.0 < scale < math.inf):
+                    raise ValueError(
+                        f"{self.kind} needs a finite c with y_n and n * y_n^d finite and "
+                        f"positive: at n = {n}, c = {self.family.c} gives y_n = {y}, "
+                        f"n * y_n^d = {scale}"
+                    )
         if kind.y_grid:
             grid = tuple(float(y) for y in (self.y_grid or ()))
             if not grid:

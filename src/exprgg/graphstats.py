@@ -21,8 +21,8 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     When y covers the cloud's extent on every axis the graph is complete and
     nothing is counted. At d = 1 one sorted-window sweep counts every degree
     without enumerating a pair. At d >= 2 degrees are accumulated from grid
-    candidate pairs in vectorized chunks; memory stays O(n) plus one bounded
-    chunk.
+    candidate pairs in vectorized chunks, in cell order; memory stays O(n)
+    plus one bounded chunk.
     """
     n = cloud.n
     if n < 2:
@@ -54,11 +54,24 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
         )
         deg = counts[inverse.ravel()] - 1
     else:
-        pts = cloud.points
-        for left, right in iter_candidate_pairs(build_grid_index(cloud, y)):
-            hit = np.abs(pts[left] - pts[right]).max(axis=1) <= y
-            deg += np.bincount(left[hit], minlength=n)
-            deg += np.bincount(right[hit], minlength=n)
+        # Candidates come as member positions in cell order. The coordinates
+        # are gathered once into cell-ordered axis columns; max over axes
+        # <= y is the same test as <= y on every axis. Each chunk's positions
+        # lie at or after its first left, so its tally spans only from there.
+        index = build_grid_index(cloud, y)
+        cols = cloud.points[index._members].T.copy()
+        tally = np.zeros(n, dtype=np.int64)
+        for left, right in iter_candidate_pairs(index):
+            hit = np.ones(len(left), dtype=bool)
+            for col in cols:
+                diff = col[left]  # a fresh copy, so in-place work is safe
+                diff -= col[right]
+                hit &= np.abs(diff, out=diff) <= y
+            lo = int(left[0])
+            for ends in (left[hit], right[hit]):
+                counts = np.bincount(ends - lo)
+                tally[lo:lo + len(counts)] += counts
+        deg[index._members] = tally
     return DegreeSummary.from_degrees(deg)
 
 

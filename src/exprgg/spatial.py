@@ -8,9 +8,9 @@ has to scan the 3^d cells around a point. For every d, each cell has one
 int64 key, so one sorted key array and one ``searchsorted`` serve every cell
 lookup. The index matches each occupied cell with its occupied neighbours
 once, at build time; pair enumeration, block enumeration and single-point
-queries all read that one table. Candidate pairs are generated in vectorized
-chunks; the Python-level work is O(3^d) steps plus one per chunk, not O(n)
-or O(pairs). At d = 1 a radius-y neighbourhood is a window of the sorted
+queries all read that one table. Candidate pairs are member positions in
+cell order, expanded from contiguous runs in vectorized chunks; the
+Python-level work is O(3^d) steps plus one per chunk, not O(n) or O(pairs). At d = 1 a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` counts neighbours without
 enumerating a pair; callers choose it by d alone.
 """
@@ -25,7 +25,8 @@ import numpy as np
 
 from .model import PointCloud
 
-_PAIR_CHUNK = 1 << 20
+_PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
+_CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
 _KEY_LIMIT = 2**63 - 1  # largest int64: the largest cell key
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
@@ -122,8 +123,9 @@ class GridIndex:
         positive offset in {-1, 0, 1}^d that has any: occupied cell B[j] lies
         at that offset from cell A[j]. Every unordered pair of adjacent
         occupied cells appears once. Kept per offset, not concatenated: pair
-        chunks then restart at each offset, and packing all offsets into full
-        chunks raised peak memory by half on d = 2 clouds."""
+        chunks then restart at each offset, which keeps each chunk's left
+        positions ascending, and packing all offsets into full chunks raised
+        peak memory by half on d = 2 clouds."""
         strides = [math.prod(radix[k + 1:]) for k in range(len(radix))]
         groups = np.arange(self.n_cells, dtype=np.int64)
         matched = []
@@ -145,47 +147,56 @@ def build_grid_index(cloud: PointCloud, cell_size: float) -> GridIndex:
     return GridIndex(cloud, cell_size)
 
 
-def _block_pairs(
-    index: GridIndex,
-    start_a: np.ndarray, size_a: np.ndarray,
-    start_b: np.ndarray, size_b: np.ndarray,
-    chunk: int,
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + l) over the pairs (s, l)."""
+    shift = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return shift + np.arange(len(shift), dtype=np.int64)
+
+
+def _run_pairs(
+    left: np.ndarray, run_start: np.ndarray, run_len: np.ndarray, chunk: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """All (A member, B member) pairs of the blocks k, where block k's A and
-    B are the member-position ranges [start_a[k], start_a[k] + size_a[k]) and
-    [start_b[k], start_b[k] + size_b[k]); yielded as flat vertex-id arrays in
-    chunks of at most ``chunk`` pairs."""
-    cum = np.concatenate(([0], np.cumsum(size_a * size_b)))
-    total = int(cum[-1])
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        flat = np.arange(lo, hi, dtype=np.int64)
-        blk = np.searchsorted(cum, flat, side="right") - 1  # skips empty blocks
-        within = flat - cum[blk]
-        ai = within // size_b[blk]
-        bi = within % size_b[blk]
-        yield index._members[start_a[blk] + ai], index._members[start_b[blk] + bi]
+    """Every pair (left[k], run_start[k] + j) with 0 <= j < run_len[k], in k
+    order, yielded in chunks of whole runs: at most ``chunk`` pairs, or one
+    run when that run alone is longer. Every run_len must be positive, so no
+    chunk is empty."""
+    cum = np.cumsum(run_len)
+    first = done = 0  # the first run of the next chunk, and the pairs before it
+    while first < len(cum):
+        stop = max(int(np.searchsorted(cum, done + chunk, side="right")), first + 1)
+        lens = run_len[first:stop]
+        yield np.repeat(left[first:stop], lens), _ranges(run_start[first:stop], lens)
+        first, done = stop, int(cum[stop - 1])
 
 
 def iter_candidate_pairs(
-    index: GridIndex, chunk: int = _PAIR_CHUNK
+    index: GridIndex, chunk: int = _CANDIDATE_CHUNK
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Every unordered vertex pair lying in the same or adjacent grid cells,
-    exactly once, as chunked (left_ids, right_ids) arrays.
+    """Every unordered pair of member positions (indices into
+    ``index._members``) whose cells are the same or adjacent, exactly once,
+    as chunked (left, right) position arrays.
+
+    Within a chunk, left ascends and every right exceeds its left, so a
+    chunk's positions all lie at or after its first left. A chunk holds at
+    most ``max(chunk, largest cell)`` pairs and never mixes two blocks: the
+    same-cell block pairs each position with the later members of its cell,
+    and one block per adjacent offset pairs each position with every member
+    of the cell at that offset, whose key, and so whose positions, are larger.
 
     This is a superset of the pairs at l-inf distance <= cell_size; callers
     filter by actual distance.
     """
     starts = index._starts
     counts = np.diff(starts)
-    # Same-cell pairs: one block per member position, pairing that member
-    # with the members after it in its cell, so each pair appears once.
     pos = np.arange(len(index._members), dtype=np.int64)
     after = np.repeat(starts[1:], counts) - pos - 1
-    yield from _block_pairs(index, pos, np.ones_like(pos), pos + 1, after, chunk)
+    has = after > 0
+    yield from _run_pairs(pos[has], pos[has] + 1, after[has], chunk)
     for groups_a, groups_b in index._adjacent:
-        yield from _block_pairs(
-            index, starts[groups_a], counts[groups_a], starts[groups_b], counts[groups_b],
+        reps = counts[groups_a]
+        yield from _run_pairs(
+            _ranges(starts[groups_a], reps),
+            np.repeat(starts[groups_b], reps), np.repeat(counts[groups_b], reps),
             chunk,
         )
 

@@ -115,22 +115,29 @@ def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
     return out
 
 
-def few_value_cloud() -> Tuple[PointCloud, Tuple[float, ...], List[np.ndarray]]:
-    """20,000 d = 1 points on 5 distinct decimal values, y values below, at
-    and above the value spacings, and the degrees at each y in closed form.
+def few_value_cloud(
+    d: int = 1, n: int = 20000
+) -> Tuple[PointCloud, Tuple[float, ...], List[np.ndarray]]:
+    """n points on the 5^d lattice of 5 distinct decimal values per axis, y
+    values below, at and above the value spacings, and the degrees at each y
+    in closed form.
 
-    Brute force is too slow at this size. Every point on a value has the
-    same degree: the points on the values within y of it, less itself.
-    Each value's run holds about 4,000 equal coordinates, which a sweep must
-    step over as a whole.
+    Brute force is too slow at this size. Every point on a lattice site has
+    the same degree: the points on the sites within y of it on every axis,
+    less itself. At d = 1 each value's run holds about n / 5 equal
+    coordinates, which a sweep must step over as a whole; at d >= 2 the
+    coincident points make candidate pairs that span several chunks.
     """
     values = np.array([0.3, 0.4, 1.8, 2.0, 2.1])
-    label = np.random.default_rng(5).integers(0, len(values), size=20000)
-    counts = np.bincount(label, minlength=len(values))
+    label = np.random.default_rng(5).integers(0, len(values), size=(n, d))
+    site = np.ravel_multi_index(tuple(label.T), (len(values),) * d)
+    counts = np.bincount(site, minlength=len(values) ** d)
     spacings = np.abs(values[:, None] - values[None, :])
     gaps = np.unique(spacings[spacings > 0])
     ys = np.unique(np.concatenate((
         [0.0, 0.05, 0.1, 0.2, 1.5], gaps, np.nextafter(gaps, 0.0), np.nextafter(gaps, 3.0),
     )))
-    degrees = [((spacings <= y) @ counts - 1)[label] for y in ys]
+    degrees = [
+        (functools.reduce(np.kron, [spacings <= y] * d) @ counts - 1)[site] for y in ys
+    ]
     return make_cloud(values[label]), tuple(float(y) for y in ys), degrees

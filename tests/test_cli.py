@@ -245,6 +245,28 @@ def test_experiment_degree_law_refuses_infinite_c(tmp_path, capsys, monkeypatch)
     assert code == 0 and out.exists()
 
 
+def test_experiment_degree_law_refuses_overflowing_finite_c(tmp_path, capsys, monkeypatch):
+    # c * log n overflows to inf, so y_n and n * y_n^d do too, though c is finite
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validation")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    argv = ["--d", "1", "--lambda", "1", "--c", "1e308", "--n", "50", "--reps", "1",
+            "--seed", "1"]
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "experiment", "degree-law", *argv, "--out", str(out))
+    assert code == 1
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "n * y_n^d = inf" in err
+    assert not out.exists()
+    # edge-slln needs no degree ratio: y_n = inf is its complete graph
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "experiment", "edge-slln", *argv, "--out", str(out))
+    assert code == 0 and out.exists()
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

@@ -14,7 +14,7 @@ from exprgg import (
     sample_exponential_cloud,
 )
 from exprgg.sampling import derive_replication_seed, uniform_stream
-from exprgg.spatial import sorted_window_ends
+from exprgg.spatial import _CANDIDATE_CHUNK, iter_candidate_pairs, sorted_window_ends
 
 
 def test_linf_examples():
@@ -153,6 +153,29 @@ def test_grid_matches_brute_force_on_random_clouds():
         if got != expected:
             mismatches.append(case)
     assert mismatches == []
+
+
+def test_candidate_pairs_cover_adjacent_cells_once_in_bounded_chunks():
+    rng = np.random.default_rng(11)
+    cases = [(cloud, y) for cloud, ys in tie_and_overflow_clouds() if cloud.d >= 2 for y in ys]
+    cases += [(make_cloud(rng.exponential(size=(400, d))), y) for d in (2, 3) for y in (0.1, 0.4)]
+    # A lone point in the first cell has no same-cell run; the next cell's
+    # first run is longer than 7, so a chunk could start with only empty runs.
+    cases.append((make_cloud([[0.0, 0.0]] + [[2.5, 0.5]] * 9), 1.0))
+    for cloud, y in cases:
+        index = build_grid_index(cloud, y)
+        cells = np.floor(cloud.points[index._members] / index.cell_size)
+        near = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
+        expected = set(zip(*np.nonzero(np.triu(near, 1))))
+        largest = int(np.diff(index._starts).max())
+        for chunk in (1, 7, _CANDIDATE_CHUNK):
+            pairs = []
+            for left, right in iter_candidate_pairs(index, chunk):
+                assert 0 < len(left) <= max(chunk, largest)
+                assert np.all(np.diff(left) >= 0) and np.all(left < right)
+                pairs += zip(left.tolist(), right.tolist())
+            assert len(pairs) == len(set(pairs)), (cloud.d, y, chunk)
+            assert set(pairs) == expected, (cloud.d, y, chunk)
 
 
 def test_sorted_window_ends_matches_a_per_point_scan():
