@@ -190,8 +190,8 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     ys = np.asarray(y_values, dtype=np.float64)
     if cloud.d == 1:
         xs = np.sort(cloud.points[:, 0])
-        start = np.arange(1, cloud.n + 1)  # where each forward window starts
-        return np.array([(sorted_window_ends(xs, y) - start).sum() for y in ys])
+        starts = cloud.n * (cloud.n + 1) // 2  # the forward windows start at 1..n
+        return np.array([sorted_window_ends(xs, y).sum() - starts for y in ys])
     index = build_grid_index(cloud, float(ys[-1]))
     pts = cloud.points
     m = len(ys)

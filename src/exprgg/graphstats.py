@@ -18,11 +18,12 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     """Degrees, edge count and degree extremes of the graph G_n(y) on ``cloud``.
 
     Two vertices are adjacent iff their l-inf distance is <= y (inclusive).
-    When y covers the cloud's extent on every axis the graph is complete and
-    nothing is counted. At d = 1 one sorted-window sweep counts every degree
-    without enumerating a pair. At d >= 2 degrees are accumulated from grid
-    candidate pairs in vectorized chunks, in cell order; memory stays O(n)
-    plus one bounded chunk.
+    Two exact returns count nothing: when y covers the cloud's extent on
+    every axis the graph is complete, and at d = 1, when every gap between
+    sorted neighbours exceeds y, it is empty. Otherwise, at d = 1 one
+    sorted-window sweep counts every degree without enumerating a pair. At
+    d >= 2 degrees are accumulated from grid candidate pairs in vectorized
+    chunks, in cell order; memory stays O(n) plus one bounded chunk.
     """
     n = cloud.n
     if n < 2:
@@ -37,16 +38,22 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     deg = np.zeros(n, dtype=np.int64)
     if cloud.d == 1:
         # Sorted position i is adjacent to the positions after it up to
-        # ends[i] (forward) and to every earlier position whose window
-        # reaches past i (backward): i minus the windows ending at or before i.
+        # ends[i] (forward, ends[i] - i - 1 of them) and to every earlier
+        # position whose window reaches past i (backward, i minus the windows
+        # ending at or before i); the i terms cancel.
         # Windows end only where the coordinate changes, so equal coordinates
         # get equal degrees whatever their order; hence the default sort,
         # which is several times faster than a stable one.
         order = np.argsort(cloud.points[:, 0])
-        ends = sorted_window_ends(cloud.points[order, 0], y)
-        forward = ends - np.arange(n) - 1
-        backward = np.cumsum(1 - np.bincount(ends, minlength=n + 1)[:n]) - 1
-        deg[order] = forward + backward
+        xs = cloud.points[order, 0]
+        if not np.any(xs[1:] - xs[:-1] <= y):
+            # Empty graph: no window passes its first gap (see
+            # sorted_window_ends), so no vertex has a neighbour.
+            return DegreeSummary.from_degrees(deg)
+        ends = sorted_window_ends(xs, y)
+        ends -= np.cumsum(np.bincount(ends, minlength=n + 1)[:n])
+        ends -= 1
+        deg[order] = ends
     elif y == 0.0:
         # Only exactly coincident points are adjacent.
         _, inverse, counts = np.unique(

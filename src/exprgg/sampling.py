@@ -76,14 +76,22 @@ def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     _check_seed(seed)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(seed) + idx * np.uint64(GOLDEN)
-    z ^= z >> np.uint64(30)
+    # In place, with one shift buffer: no temporary per mixing step.
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
     z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
     z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    z += np.uint64(1)
+    return z * 2.0**-53
 
 
 def exponential_inverse_cdf(u, lam: float):
@@ -110,8 +118,10 @@ def sample_exponential_cloud(n: int, d: int, lam: float, seed: int) -> PointClou
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be a positive finite rate, got {lam}")
     u = uniform_stream(seed, n * d)
-    coords = (-np.log(u) / lam).reshape(n, d)
-    return PointCloud(d=d, points=coords, seed=int(seed), lam=lam)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    u /= lam
+    return PointCloud(d=d, points=u.reshape(n, d), seed=int(seed), lam=lam)
 
 
 def write_cloud(cloud: PointCloud, destination: Union[str, IO[str]]) -> None:

@@ -10,9 +10,12 @@ lookup. The index matches each occupied cell with its occupied neighbours
 once, at build time; pair enumeration, block enumeration and single-point
 queries all read that one table. Candidate pairs are member positions in
 cell order, expanded from contiguous runs in vectorized chunks; the
-Python-level work is O(3^d) steps plus one per chunk, not O(n) or O(pairs). At d = 1 a radius-y neighbourhood is a window of the sorted
-coordinates, so ``sorted_window_ends`` counts neighbours without
-enumerating a pair; callers choose it by d alone.
+Python-level work is O(3^d) steps plus one per chunk, not O(n) or O(pairs).
+
+At d = 1 a radius-y neighbourhood is a window of the sorted coordinates, so
+``sorted_window_ends`` counts neighbours without enumerating a pair, and
+searches only the windows whose first gap is within y; callers choose it by
+d alone.
 """
 
 from __future__ import annotations
@@ -245,26 +248,30 @@ def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:
     [i + 1, ends[i]).
 
     This is the d = 1 sort-sweep of Bentley, Stanat & Williams: no pair is
-    enumerated. ``searchsorted`` on ``xs + y`` can land off by a run where
-    fl(xs[i] + y) and the oracle's fl(xs[j] - xs[i]) round differently, so
-    each window is repaired against the subtraction itself until nothing
-    moves. The subtraction is monotone in j, so a window only ever grows or
+    enumerated. The subtraction is monotone in j, so a window reaches past
+    i + 1 only if fl(xs[i + 1] - xs[i]) <= y; every other window is empty,
+    and only the windows that pass this gap test are searched, which at
+    sparse y is almost none. ``searchsorted`` on ``xs + y`` can land off by
+    a run where fl(xs[i] + y) and the oracle's fl(xs[j] - xs[i]) round
+    differently, so each searched window is repaired against the subtraction
+    itself until nothing moves. By monotonicity a window only ever grows or
     only ever shrinks, and each step jumps a whole run of equal coordinates:
     the step count is bounded by the distinct values in the rounding band,
     not by their multiplicity.
     """
     n = len(xs)
-    ends = np.searchsorted(xs, xs + y, side="right")
-    todo = np.arange(n)
+    ends = np.arange(1, n + 1)
+    todo = np.flatnonzero(xs[1:] - xs[:-1] <= y)
+    base = xs[todo]  # kept aligned with todo, so it is gathered once
+    e = np.searchsorted(xs, base + y, side="right")
     while todo.size:
-        e = ends[todo]
-        base = xs[todo]
+        ends[todo] = e
         after = xs[np.minimum(e, n - 1)]  # first point outside the window
         last = xs[e - 1]  # last point inside it; e > i always
         grow = (e < n) & (after - base <= y)
         moved = grow | (last - base > y)
-        todo, grow, after, last = todo[moved], grow[moved], after[moved], last[moved]
-        ends[todo] = np.where(
+        todo, base, grow, after, last = (a[moved] for a in (todo, base, grow, after, last))
+        e = np.where(
             grow,
             np.searchsorted(xs, after, side="right"),
             np.searchsorted(xs, last, side="left"),

@@ -115,6 +115,27 @@ def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
     return out
 
 
+def gap_boundary_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
+    """d = 1 (cloud, ascending y values) at the edges of the sweep's test on
+    the gap between sorted neighbours. Each y grid starts below every gap.
+
+    - A dyadic lattice (coordinates k/8, in shuffled order) whose smallest
+      gap is 1/8: at y = 1/8 exactly its two closest pairs are edges, one ulp
+      below it every point is isolated.
+    - An all-isolated cloud, every gap above 1, at y > 0.
+    - One close pair among isolated points, also at y = 0.
+    """
+    rng = np.random.default_rng(77)
+    eighth = 0.125
+    lattice = rng.permutation([0, 3, 4, 9, 11, 16, 17, 30]) / 8.0
+    isolated = rng.permutation(np.cumsum(1.0 + rng.random(200)))
+    return [
+        (make_cloud(lattice), (float(np.nextafter(eighth, 0.0)), eighth, 2 * eighth, 1.0)),
+        (make_cloud(isolated), (0.5, 1.0)),
+        (make_cloud([5.0, 0.0, 10.0, 3.0, 3.0 + 2.0**-20, 7.0]), (0.0, 2.0**-20, 1.0)),
+    ]
+
+
 def few_value_cloud(
     d: int = 1, n: int = 20000
 ) -> Tuple[PointCloud, Tuple[float, ...], List[np.ndarray]]:

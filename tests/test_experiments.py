@@ -26,7 +26,7 @@ from exprgg.experiments import (
     spec_from_json_file,
     write_manifest,
 )
-from conftest import few_value_cloud, tie_and_overflow_clouds
+from conftest import few_value_cloud, gap_boundary_clouds, tie_and_overflow_clouds
 from exprgg.sampling import derive_replication_seed
 
 
@@ -148,7 +148,7 @@ def test_uniform_sup_dominates_every_grid_point():
         assert row.gap == max(gaps)
         assert all(row.gap >= g for g in gaps)
         assert list(counts) == [len(brute_force_edges(cloud, y)) for y in grid]
-    for cloud, ys in tie_and_overflow_clouds():
+    for cloud, ys in tie_and_overflow_clouds() + gap_boundary_clouds():
         counts = _edge_counts_multi(cloud, np.asarray(ys))
         assert list(counts) == [len(brute_force_edges(cloud, y)) for y in ys], cloud.d
     cloud, ys, degrees = few_value_cloud()

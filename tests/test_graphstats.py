@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import few_value_cloud, make_cloud, tie_and_overflow_clouds
+from conftest import (
+    few_value_cloud,
+    gap_boundary_clouds,
+    make_cloud,
+    scalar_edges,
+    tie_and_overflow_clouds,
+)
 from exprgg import (
     RggConfig,
     brute_force_edges,
@@ -76,6 +82,15 @@ def test_matches_brute_force_on_random_clouds():
         for y in (*ys, diameter, float(np.nextafter(diameter, 0.0))):
             expected = summary_from_edges(cloud.n, brute_force_edges(cloud, y))
             assert degree_summary(cloud, y) == expected, (cloud.d, y)
+    # At the gap test's boundaries (a gap of exactly y, one ulp below it,
+    # every point isolated, one close pair): the scalar oracle agrees, and
+    # where no gap is within y every degree is zero.
+    for cloud, ys in gap_boundary_clouds():
+        gaps = np.diff(np.sort(cloud.points[:, 0]))
+        for y in ys:
+            expected = summary_from_edges(cloud.n, scalar_edges(cloud.points, y))
+            assert degree_summary(cloud, y) == expected, y
+            assert (expected.max_degree == 0) == bool(np.all(gaps > y)), y
     # y = inf joins every pair; brute force over 2e8 pairs is too slow, and
     # the complete graph is the answer it would give.
     n = 20000

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cloud, scalar_edges, scalar_linf, tie_and_overflow_clouds
+from conftest import (
+    gap_boundary_clouds,
+    make_cloud,
+    scalar_edges,
+    scalar_linf,
+    tie_and_overflow_clouds,
+)
 from exprgg import (
     brute_force_edges,
     build_grid_index,
@@ -187,7 +193,12 @@ def test_sorted_window_ends_matches_a_per_point_scan():
     # y = 2^53, fl(x + 2^53) rounds to 2^53 for every x in [0.1, 1], while
     # -2^53 + 2^53 = 0 starts the window before all of them.
     cases = [(np.array([-2.0**53, *(k / 10 for k in range(1, 11))]), 2.0**53)]
-    for cloud, ys in tie_and_overflow_clouds():
+    # Negative and mixed-sign coordinates at a gap of exactly y, one ulp
+    # below it, and a y that isolates every point.
+    signed = np.array([-2.0, -1.75, -0.5, -0.25, 0.0, 0.25, 1.5])
+    cases += [(signed, y) for y in (0.125, float(np.nextafter(0.25, 0.0)), 0.25, 1.25)]
+    cases += [(np.array([-10.0, -7.0, -4.0, -1.0]), 2.0)]
+    for cloud, ys in tie_and_overflow_clouds() + gap_boundary_clouds():
         if cloud.d == 1:
             xs = np.sort(cloud.points[:, 0])
             cases += [(xs, y) for y in ys]
