@@ -183,9 +183,10 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     sorted-window pass; no pair is enumerated. At d >= 2 one index at
     cell_size = max(y) covers the whole grid; distances are computed
     block-by-block with broadcasting (the cells are large here), and each
-    pair is binned once. Same-cell blocks produce the full symmetric distance
-    matrix, so their tallies are halved after removing the zero
-    self-distances.
+    pair is binned once. A same-cell block holds the full symmetric distance
+    matrix, so it counts each pair twice and each point once, at distance 0:
+    cross-cell counts are doubled to match, and the n self-distances removed
+    before halving.
     """
     ys = np.asarray(y_values, dtype=np.float64)
     if cloud.d == 1:
@@ -194,21 +195,16 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
         return np.array([sorted_window_ends(xs, y).sum() - starts for y in ys])
     index = build_grid_index(cloud, float(ys[-1]))
     pts = cloud.points
-    m = len(ys)
-    cum_cross = np.zeros(m, dtype=np.int64)
-    cum_same = np.zeros(m, dtype=np.int64)
-    n_self = 0
+    tally = np.zeros(len(ys), dtype=np.int64)
     for block_a, block_b, same in iter_matched_blocks(index):
-        if same:
-            n_self += len(block_a)
-        acc = cum_same if same else cum_cross
+        weight = 1 if same else 2
         row_step = max(1, _BLOCK_ENTRIES // max(len(block_b), 1))
         for lo in range(0, len(block_a), row_step):
             sub = block_a[lo:lo + row_step]
             dist = np.abs(pts[sub, None, :] - pts[None, block_b, :]).max(axis=2)
-            for j in range(m):
-                acc[j] += np.count_nonzero(dist <= ys[j])
-    return cum_cross + (cum_same - n_self) // 2
+            for j, y in enumerate(ys):
+                tally[j] += weight * np.count_nonzero(dist <= y)
+    return (tally - cloud.n) // 2
 
 
 def _graph_columns(spec: ExperimentSpec, cloud: PointCloud, own) -> dict:

@@ -23,7 +23,8 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     sorted neighbours exceeds y, it is empty. Otherwise, at d = 1 one
     sorted-window sweep counts every degree without enumerating a pair. At
     d >= 2 degrees are accumulated from grid candidate pairs in vectorized
-    chunks, in cell order; memory stays O(n) plus one bounded chunk.
+    chunks, in cell order; memory stays O(n) plus one bounded chunk. y = 0
+    takes the same paths as any other y.
     """
     n = cloud.n
     if n < 2:
@@ -54,18 +55,15 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
         ends -= np.cumsum(np.bincount(ends, minlength=n + 1)[:n])
         ends -= 1
         deg[order] = ends
-    elif y == 0.0:
-        # Only exactly coincident points are adjacent.
-        _, inverse, counts = np.unique(
-            cloud.points, axis=0, return_inverse=True, return_counts=True
-        )
-        deg = counts[inverse.ravel()] - 1
     else:
         # Candidates come as member positions in cell order. The coordinates
         # are gathered once into cell-ordered axis columns; max over axes
         # <= y is the same test as <= y on every axis. Each chunk's positions
         # lie at or after its first left, so its tally spans only from there.
-        index = build_grid_index(cloud, y)
+        # Any cell width >= y finds every edge; a positive one keeps y = 0
+        # (only coincident points adjacent) on this same path, even when the
+        # span is so small that a 2^-52 share of it underflows to 0.
+        index = build_grid_index(cloud, max(y, span.max() * 2**-52, math.ulp(0.0)))
         cols = cloud.points[index._members].T.copy()
         tally = np.zeros(n, dtype=np.int64)
         for left, right in iter_candidate_pairs(index):

@@ -51,6 +51,39 @@ def test_theory_bounds_labeled_lines(capsys):
     assert lines["a_min_has_root"] == "true"
 
 
+# Every theory quantity, its stdout and its stderr, byte for byte.
+THEORY_GOLDEN = [
+    (["p", "--y", "0.6931471805599453", "--lambda", "1", "--d", "2"], "0.25\n", ""),
+    (["h", "--t", "2.5"], "-0.23348370725033796\n", ""),
+    (["chernoff-upper", "--n", "10", "--p", "0.1", "--k", "2"],
+     "0.67957045711476138\n", ""),
+    (["chernoff-lower", "--n", "100", "--p", "0.3", "--k", "0.5"],
+     "1.1950564192608801e-12\n", ""),
+    (["a-min", "--c", "4", "--lambda", "1", "--d", "1"], "0.38240356960216004\n", ""),
+    (["a-min", "--c", "1", "--lambda", "1", "--d", "1"], "0\n",
+     "note: no root below 1 (lambda^d * c <= 1); bound degenerates to 0\n"),
+    (["a-max", "--c", "1", "--lambda", "1", "--d", "1"], "2.7182818284590455\n", ""),
+    (["bounds", "--c", "4", "--lambda", "1.5", "--d", "2"],
+     "lambda_pow_d=2.25\na_min=0.56730922888983593\na_min_has_root=true\n"
+     "a_max=1.5071435634375574\nmin_liminf_bound=1.2764457650021308\n"
+     "min_limsup_bound=2.25\nmax_liminf_bound=2.25\nmax_limsup_bound=3.3910730177345041\n",
+     ""),
+    (["bounds", "--c", "0.5", "--lambda", "1", "--d", "1"],
+     "lambda_pow_d=1\na_min=0\na_min_has_root=false\na_max=3.5911214766686221\n"
+     "min_liminf_bound=0\nmin_limsup_bound=1\nmax_liminf_bound=1\n"
+     "max_limsup_bound=3.5911214766686221\n", ""),
+    (["radius", "--n", "10000", "--lambda", "2", "--d", "3", "--epsilon", "0.5"],
+     "6.9077552789821377\n", ""),
+    (["radius", "--n", "100", "--lambda", "1", "--d", "1"], "4.6051701859880918\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, out, err", THEORY_GOLDEN,
+                         ids=[" ".join(case[0][:3]) for case in THEORY_GOLDEN])
+def test_theory_golden_output(capsys, argv, out, err):
+    assert run_cli(capsys, "theory", *argv) == (0, out, err)
+
+
 def test_theory_chernoff(capsys):
     code, out, _ = run_cli(
         capsys, "theory", "chernoff-upper", "--n", "10", "--p", "0.1", "--k", "2"
@@ -155,6 +188,54 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     assert code == 3
     assert out == "verify: 3 cases, 0 matched\n"
     assert err.count("in degrees\n") == 3 and "neighbors" not in err
+    monkeypatch.undo()
+    # One edge too many at each y, on the sampled and the lattice clouds alike.
+    real = cli._edge_counts_multi
+    monkeypatch.setattr(cli, "_edge_counts_multi", lambda cloud, ys: real(cloud, ys) + 1)
+    code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
+    assert code == 3
+    assert out == "verify: 3 cases, 0 matched\n"
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert all(line.endswith(", 1/4 lattice) in edge-counts") for line in lines)
+    assert all(line.count(" in edge-counts") == 2 for line in lines)
+    assert "neighbors" not in err and "degrees" not in err
+
+
+SPEC_FLAGS = ["--d", "1", "--lambda", "1", "--n", "100", "--reps", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["degree-law", *SPEC_FLAGS, "--c", "4", "--epsilon", "0.5"],
+         "degree-law does not take epsilon"),
+        (["degree-law", *SPEC_FLAGS, "--c", "4", "--y-grid", "0.1,0.2"],
+         "degree-law does not take a y_grid"),
+        (["containment", *SPEC_FLAGS, "--epsilon", "0.5", "--c", "4"],
+         "containment does not take an edge-distance family"),
+        (["uniform-slln", *SPEC_FLAGS, "--epsilon", "3"],
+         "uniform-slln does not take epsilon"),
+        (["threshold", *SPEC_FLAGS, "--alpha", "1"], "give both --alpha and --beta"),
+        (["degree-law", "--spec", "SPEC", "--n", "999", "--reps", "5"],
+         "--spec replaces the spec flags; drop --n, --reps"),
+        (["degree-law", "--spec", "SPEC", "--c", "4"],
+         "--spec replaces the spec flags; drop --c"),
+    ],
+    ids=["epsilon-to-degree-law", "y-grid-to-degree-law", "c-to-containment",
+         "epsilon-to-uniform-slln", "alpha-without-beta", "spec-with-n-reps", "spec-with-c"],
+)
+def test_experiment_refuses_flags_it_would_drop(tmp_path, capsys, argv, message):
+    spec = tmp_path / "m.csv"
+    assert run_cli(capsys, "experiment", "degree-law", "--c", "4", *SPEC_FLAGS,
+                   "--out", str(spec))[0] == 0
+    argv = [str(spec) + ".manifest.json" if a == "SPEC" else a for a in argv]
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "experiment", *argv, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"exprgg: error: {message}\n"
+    assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
 
 
 def test_experiment_writes_table_and_manifest(tmp_path, capsys):

@@ -50,6 +50,9 @@ def test_zero_radius_distinct_points():
 def test_zero_radius_coincident_points():
     summ = degree_summary(make_cloud([[1.0], [1.0], [2.0]]), 0.0)
     assert list(summ.degrees) == [1, 1, 0]
+    # d = 2 with a subnormal span: the grid's cell width must stay positive
+    summ = degree_summary(make_cloud([[0.0, 0.0], [1e-310, 0.0], [1e-310, 0.0]]), 0.0)
+    assert list(summ.degrees) == [0, 1, 1]
 
 
 def test_needs_two_points():
@@ -77,9 +80,10 @@ def test_matches_brute_force_on_random_clouds():
         assert degree_summary(cloud, y) == expected
     for cloud, ys in tie_and_overflow_clouds():
         # Also at the cloud's exact l-inf diameter (a complete graph, which
-        # degree_summary answers without an index) and one ulp below it.
+        # degree_summary answers without an index), one ulp below it, and at
+        # y = 0, where only coincident points are adjacent.
         diameter = float(np.ptp(cloud.points, axis=0).max())
-        for y in (*ys, diameter, float(np.nextafter(diameter, 0.0))):
+        for y in (*ys, diameter, float(np.nextafter(diameter, 0.0)), 0.0):
             expected = summary_from_edges(cloud.n, brute_force_edges(cloud, y))
             assert degree_summary(cloud, y) == expected, (cloud.d, y)
     # At the gap test's boundaries (a gap of exactly y, one ulp below it,
