@@ -218,7 +218,7 @@ def _engine_mismatches(cloud: PointCloud, y: float) -> List[str]:
     brute force: grid neighbour queries, degree_summary, and the y-grid edge
     counter at (y / 2, y)."""
     n = cloud.n
-    expected = np.array(list(brute_force_edges(cloud, y)), dtype=np.int64).reshape(-1, 2)
+    expected = brute_force_edges(cloud, y)
     # Directed edges as codes i * n + j; each undirected edge appears twice.
     want = np.sort(np.concatenate((expected @ [n, 1], expected @ [1, n])))
     index = build_grid_index(cloud, y)

@@ -29,6 +29,8 @@ from .model import (
     PowerFamily,
     RggConfig,
     TheoryBounds,
+    _check_dim,
+    _check_rate,
     _check_seed,
     fmt17,
 )
@@ -80,10 +82,8 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {n_list}")
         object.__setattr__(self, "n_list", n_list)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a positive finite rate, got {self.lam}")
+        _check_dim(self.d)
+        _check_rate(self.lam)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         _check_seed(self.base_seed, "base_seed")
@@ -123,7 +123,7 @@ class ExperimentSpec:
         elif self.y_grid is not None:
             raise ValueError(f"{self.kind} does not take a y_grid")
         if kind.epsilon:
-            if self.epsilon is None or self.epsilon < 0.0:
+            if self.epsilon is None or not self.epsilon >= 0.0:
                 raise ValueError(f"{self.kind} requires epsilon >= 0")
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind} does not take epsilon")

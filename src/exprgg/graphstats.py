@@ -9,7 +9,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import DegreeSummary, PointCloud, RggConfig
+from .model import DegreeSummary, PointCloud, RggConfig, _check_nonnegative
 from .spatial import build_grid_index, iter_candidate_pairs, sorted_window_ends
 from .theory import pair_connect_prob
 
@@ -29,8 +29,7 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     n = cloud.n
     if n < 2:
         raise ValueError(f"degree statistics need n >= 2 points, got {n}")
-    if not y >= 0.0:  # also refuses nan
-        raise ValueError(f"y must be >= 0, got {y}")
+    _check_nonnegative(y, "y")
     span = cloud.points.max(axis=0) - cloud.points.min(axis=0)
     if np.all(span <= y):
         # Complete graph: subtraction is monotone in each operand, so every

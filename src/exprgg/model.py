@@ -28,6 +28,22 @@ def _check_seed(seed: int, what: str = "seed") -> None:
         raise ValueError(f"{what} must fit in an unsigned 64-bit word, got {seed}")
 
 
+def _check_rate(lam: float) -> None:
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be a positive finite rate, got {lam}")
+
+
+def _check_dim(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+
+
+def _check_nonnegative(value: float, name: str) -> None:
+    """Refuses negative values and nan; inf passes."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """n points in d dimensions with nonnegative finite coordinates.
@@ -56,8 +72,7 @@ class PointCloud:
             raise ValueError("every coordinate must be finite")
         if np.any(pts < 0.0):
             raise ValueError("every coordinate must be >= 0")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a positive finite rate, got {self.lam}")
+        _check_rate(self.lam)
         _check_seed(self.seed)
         if pts is self.points and pts.flags.writeable:
             pts = pts.copy()  # never freeze an array the caller still owns
@@ -93,12 +108,9 @@ class RggConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"a graph needs n >= 2 vertices, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a positive finite rate, got {self.lam}")
-        if not self.y >= 0.0:
-            raise ValueError(f"edge distance y must be >= 0, got {self.y}")
+        _check_dim(self.d)
+        _check_rate(self.lam)
+        _check_nonnegative(self.y, "edge distance y")
         _check_seed(self.seed)
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "seed", int(self.seed))
@@ -179,10 +191,8 @@ class LogRegime:
     def __post_init__(self) -> None:
         if not self.c > 0.0:
             raise ValueError(f"c must be positive (or inf), got {self.c}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a positive finite rate, got {self.lam}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_rate(self.lam)
+        _check_dim(self.d)
         object.__setattr__(self, "c", float(self.c))
 
 
@@ -200,10 +210,8 @@ class PowerFamily:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a positive finite rate, got {self.lam}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_rate(self.lam)
+        _check_dim(self.d)
 
 
 EdgeDistanceFamily = Union[LogRegime, PowerFamily]

@@ -14,13 +14,12 @@ particular uniform draw forces the corresponding coordinate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .model import U64_MAX, PointCloud, _check_seed, fmt17
+from .model import U64_MAX, PointCloud, _check_dim, _check_rate, _check_seed, fmt17
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -96,8 +95,7 @@ def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 def exponential_inverse_cdf(u, lam: float):
     """Map uniform draws in (0, 1] to Exp(lam) variates, x = -ln(u)/lam."""
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_rate(lam)
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
         raise ValueError("uniform draws must lie in (0, 1]")
@@ -113,14 +111,13 @@ def sample_exponential_cloud(n: int, d: int, lam: float, seed: int) -> PointClou
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be a positive finite rate, got {lam}")
+    _check_dim(d)
+    _check_rate(lam)
     u = uniform_stream(seed, n * d)
     np.log(u, out=u)
     np.negative(u, out=u)
-    u /= lam
+    with np.errstate(over="ignore"):  # a subnormal lam overflows; PointCloud refuses inf
+        u /= lam
     return PointCloud(d=d, points=u.reshape(n, d), seed=int(seed), lam=lam)
 
 

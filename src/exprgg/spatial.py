@@ -26,7 +26,7 @@ from typing import Iterator, List, Set, Tuple
 
 import numpy as np
 
-from .model import PointCloud
+from .model import PointCloud, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
@@ -226,8 +226,7 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
     n = index.cloud.n
     if not 0 <= i < n:
         raise IndexError(f"vertex id {i} out of range for n={n}")
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
+    _check_nonnegative(y, "y")
     if y > index.cell_size:
         raise ValueError(
             f"y={y} exceeds cell_size={index.cell_size}; rebuild the index"
@@ -279,22 +278,20 @@ def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:
     return ends
 
 
-def brute_force_edges(cloud: PointCloud, y: float) -> Set[Tuple[int, int]]:
-    """All unordered pairs at l-inf distance <= y by an O(n^2) scan.
-
-    The correctness oracle for the grid index; never the default path.
+def brute_force_edges(cloud: PointCloud, y: float) -> np.ndarray:
+    """All unordered pairs at l-inf distance <= y by an O(n^2) scan, as the
+    rows (i, j), i < j, of an (m, 2) int64 array in row-major order; shape
+    (0, 2) when there is none. The oracle of every engine, never a default path.
     """
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    n = cloud.n
-    pts = cloud.points
-    edges: Set[Tuple[int, int]] = set()
-    row_chunk = max(1, _PAIR_CHUNK // max(n, 1))
+    _check_nonnegative(y, "y")
+    n, pts = cloud.n, cloud.points
+    ids = np.arange(n)
+    blocks = []
+    row_chunk = max(1, _PAIR_CHUNK // n)
     for lo in range(0, n, row_chunk):
         hi = min(lo + row_chunk, n)
-        dist = np.abs(pts[lo:hi, None, :] - pts[None, :, :]).max(axis=2)
-        ii, jj = np.nonzero(dist <= y)
-        for a, b in zip(ii + lo, jj):
-            if a < b:
-                edges.add((int(a), int(b)))
-    return edges
+        hit = np.abs(pts[lo:hi, None, :] - pts[None, :, :]).max(axis=2) <= y
+        hit &= ids[lo:hi, None] < ids
+        ii, jj = np.nonzero(hit)
+        blocks.append(np.column_stack((ii + lo, jj)))
+    return np.concatenate(blocks).astype(np.int64, copy=False)

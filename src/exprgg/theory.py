@@ -9,7 +9,10 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .model import EdgeDistanceFamily, LogRegime, PowerFamily, TheoryBounds
+from .model import (
+    EdgeDistanceFamily, LogRegime, PowerFamily, TheoryBounds,
+    _check_dim, _check_nonnegative, _check_rate,
+)
 
 ROOT_RESIDUAL_TOL = 1e-12
 
@@ -23,12 +26,9 @@ def pair_connect_prob(y: float, lam: float, d: int) -> float:
     For small y this behaves like (lam*y)^d, the volume of an l-inf ball of
     radius y under the density at the origin.
     """
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_nonnegative(y, "y")
+    _check_rate(lam)
+    _check_dim(d)
     return (-math.expm1(-lam * y)) ** d
 
 
@@ -62,11 +62,11 @@ def _check_chernoff_args(n: int, p: float) -> None:
 def chernoff_upper_tail(n: int, p: float, k: float) -> float:
     """Bound on P[Bin(n, p) >= k] for k >= n*p: (np/k)^k * e^(k - np).
 
-    Equivalently exp(n*p*H(n*p/k)). Raises for k below the validity range.
+    Equivalently exp(n*p*H(n*p/k)). Raises for k outside the validity range.
     """
     _check_chernoff_args(n, p)
-    if k < n * p:
-        raise ValueError(f"upper-tail bound needs k >= n*p = {n * p}, got k={k}")
+    if not n * p <= k < math.inf:
+        raise ValueError(f"upper-tail bound needs finite k >= n*p = {n * p}, got k={k}")
     return _chernoff(n, p, k)
 
 
@@ -110,12 +110,9 @@ def containment_radius(n, lam: float, d: int, epsilon: float = 0.0) -> float:
     """
     if not n >= 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_rate(lam)
+    _check_dim(d)
+    _check_nonnegative(epsilon, "epsilon")
     return (1.0 + epsilon) * math.log(n) / lam
 
 
@@ -181,10 +178,8 @@ def a_max(c: float, lam: float, d: int) -> float:
 def _check_root_args(c: float, lam: float, d: int) -> None:
     if not c > 0.0:
         raise ValueError(f"c must be positive (or inf), got {c}")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_rate(lam)
+    _check_dim(d)
 
 
 def theory_bounds(c: float, lam: float, d: int) -> TheoryBounds:

@@ -138,6 +138,33 @@ def test_sample_rejects_bad_args(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "p", "--y", "nan", "--lambda", "1", "--d", "1"],
+        ["theory", "p", "--y", "0", "--lambda", "inf", "--d", "1"],
+        ["theory", "radius", "--n", "10", "--lambda", "1", "--d", "1", "--epsilon", "nan"],
+        ["theory", "radius", "--n", "10", "--lambda", "inf", "--d", "1"],
+        ["theory", "a-max", "--c", "1", "--lambda", "inf", "--d", "1"],
+        ["theory", "chernoff-upper", "--n", "10", "--p", "0.5", "--k", "nan"],
+        ["theory", "chernoff-upper", "--n", "10", "--p", "0.5", "--k", "inf"],
+        ["sample", "--n", "3", "--d", "1", "--lambda", "1e-320", "--seed", "1"],
+        ["experiment", "containment", "--d", "1", "--lambda", "1", "--n", "100", "--reps", "2",
+         "--seed", "1", "--epsilon", "nan", "--out", "OUT"],
+    ],
+    ids=["p-nan-y", "p-inf-lambda", "radius-nan-epsilon", "radius-inf-lambda",
+         "a-max-inf-lambda", "chernoff-nan-k", "chernoff-inf-k", "sample-subnormal-lambda",
+         "containment-nan-epsilon"],
+)
+def test_nan_and_inf_parameters_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, *[str(out) if a == "OUT" else a for a in argv])
+    assert code == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("exprgg: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graph_csv_and_json(capsys):
     args = ["graph", "--n", "50", "--d", "2", "--lambda", "1", "--y", "0.3", "--seed", "4"]
     code, out_csv, _ = run_cli(capsys, *args)

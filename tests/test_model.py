@@ -31,6 +31,8 @@ def test_point_cloud_valid():
         dict(d=1, points=[[math.inf]], seed=0, lam=1.0),  # non-finite
         dict(d=1, points=np.empty((0, 1)), seed=0, lam=1.0),  # n = 0
         dict(d=1, points=[[1.0]], seed=0, lam=0.0),  # lam <= 0
+        dict(d=1, points=[[1.0]], seed=0, lam=math.inf),  # lam not finite
+        dict(d=1, points=[[1.0]], seed=0, lam=math.nan),
         dict(d=1, points=[[1.0]], seed=-1, lam=1.0),  # bad seed
         dict(d=1, points=[[1.0]], seed=2**64, lam=1.0),  # seed overflow
     ],
@@ -53,6 +55,8 @@ def test_rgg_config_validation():
         dict(n=2, d=0, lam=1.0, y=0.1, seed=0),
         dict(n=2, d=1, lam=-1.0, y=0.1, seed=0),
         dict(n=2, d=1, lam=1.0, y=-0.1, seed=0),
+        dict(n=2, d=1, lam=math.inf, y=0.1, seed=0),
+        dict(n=2, d=1, lam=1.0, y=math.nan, seed=0),
     ]:
         with pytest.raises(ValueError):
             RggConfig(**bad)

@@ -76,6 +76,8 @@ def test_forced_uniform_draw_gives_log_two():
         exponential_inverse_cdf(0.0, 1.0)
     with pytest.raises(ValueError):
         exponential_inverse_cdf(1.1, 1.0)
+    with pytest.raises(ValueError, match="positive finite rate"):
+        exponential_inverse_cdf(0.5, math.inf)
 
 
 def test_uniform_stream_range_and_offset():
@@ -100,6 +102,8 @@ def test_cloud_rejects_bad_args():
         sample_exponential_cloud(1, 0, 1.0, 0)
     with pytest.raises(ValueError):
         sample_exponential_cloud(1, 1, 0.0, 0)
+    with pytest.raises(ValueError, match="positive finite rate"):
+        sample_exponential_cloud(1, 1, math.inf, 0)
 
 
 def test_sample_mean_matches_clt_band():

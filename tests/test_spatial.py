@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -124,15 +125,20 @@ def test_neighbors_rejects_bad_queries():
         neighbors_within(index, 5, 0.1)
     with pytest.raises(ValueError):
         neighbors_within(index, 0, 0.75)  # y > cell_size
+    with pytest.raises(ValueError, match="y must be >= 0, got nan"):
+        neighbors_within(index, 0, math.nan)
 
 
 def test_brute_force_hand_example():
     # distances 0.5, 0.7, 1.2: at y = 0.6 only the first pair connects; at
     # y = 0.7 the boundary-inclusive rule admits the second as well
     cloud = make_cloud([0.0, 0.5, 1.2])
-    assert brute_force_edges(cloud, 0.6) == {(0, 1)}
-    assert brute_force_edges(cloud, 0.7) == {(0, 1), (1, 2)}
-    assert brute_force_edges(make_cloud([0.0, 2.0]), 1.0) == set()
+    assert brute_force_edges(cloud, 0.6).tolist() == [[0, 1]]
+    assert brute_force_edges(cloud, 0.7).tolist() == [[0, 1], [1, 2]]
+    none = brute_force_edges(make_cloud([0.0, 2.0]), 1.0)
+    assert none.shape == (0, 2) and none.dtype == np.int64
+    with pytest.raises(ValueError, match="y must be >= 0, got nan"):
+        brute_force_edges(cloud, math.nan)
 
 
 def test_grid_matches_brute_force_on_random_clouds():
@@ -150,7 +156,7 @@ def test_grid_matches_brute_force_on_random_clouds():
     cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in ys]
     mismatches = []
     for case, (cloud, y) in enumerate(cases):
-        expected = brute_force_edges(cloud, y)
+        expected = set(map(tuple, brute_force_edges(cloud, y).tolist()))
         index = build_grid_index(cloud, y)
         got = set()
         for i in range(cloud.n):
@@ -240,4 +246,7 @@ def test_grid_widens_cells_whose_keys_would_overflow():
 def test_brute_force_matches_scalar_loops():
     cloud = sample_exponential_cloud(60, 2, 1.0, seed=3)
     y = 0.4
-    assert brute_force_edges(cloud, y) == scalar_edges(cloud.points, y)
+    edges = brute_force_edges(cloud, y)
+    assert edges.dtype == np.int64
+    # row-major: sorted by i, then j
+    assert edges.tolist() == sorted(map(list, scalar_edges(cloud.points, y)))

@@ -60,6 +60,24 @@ def test_pair_connect_prob_monotonicity():
         assert p1 >= p2 >= p3
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pair_connect_prob(math.nan, 1.0, 1), "y must be >= 0, got nan"),
+        (lambda: pair_connect_prob(0.0, math.inf, 1), "lam must be a positive finite rate"),
+        (lambda: containment_radius(10, 1.0, 1, math.nan), "epsilon must be >= 0, got nan"),
+        (lambda: containment_radius(10, math.inf, 1), "lam must be a positive finite rate"),
+        (lambda: a_min(1.0, math.inf, 1), "lam must be a positive finite rate"),
+        (lambda: a_max(1.0, math.inf, 1), "lam must be a positive finite rate"),
+    ],
+    ids=["p-nan-y", "p-inf-lam", "radius-nan-epsilon", "radius-inf-lam", "a-min-inf-lam",
+         "a-max-inf-lam"],
+)
+def test_refuses_parameters_outside_the_laws_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_h_function_values():
     assert h_function(1.0) == 0.0
     assert h_function(math.inf) == -1.0
@@ -111,6 +129,9 @@ def test_chernoff_validity_range_flagged():
         chernoff_lower_tail(10, 0.5, 6.0)  # k > n*p
     with pytest.raises(ValueError):
         chernoff_lower_tail(10, 0.5, -1.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="upper-tail bound needs finite k"):
+            chernoff_upper_tail(10, 0.5, k)
 
 
 def test_chernoff_dominance_and_form_equivalence_grid():
