@@ -165,9 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="grid neighbour queries, degree_summary (sorted sweep at d = 1, grid at "
-        "d >= 2) and the y-grid edge counter vs the brute force oracle, on each "
-        "sampled cloud and on its 1/4-lattice snap",
+        help="grid neighbour queries, degree_summary (sorted sweep at d = 1, sorted "
+        "last-axis windows over a grid of columns at d >= 2) and the y-grid edge "
+        "counter vs the brute force oracle, on each sampled cloud and on its "
+        "1/4-lattice snap",
     )
     _add_flags(p_verify, ("cases", "max-n", "seed"))
     p_verify.set_defaults(run=_cmd_verify)

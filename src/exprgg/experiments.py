@@ -98,7 +98,9 @@ class ExperimentSpec:
                 raise ValueError("family (lam, d) must match the spec's (lam, d)")
         if kind.finite_c:
             # The degree ratios divide by n * y_n^d; c = inf, or a finite c
-            # whose y_n overflows or underflows, would fail only after sampling.
+            # whose y_n overflows or underflows, would fail only after sampling,
+            # and so would a lam^d * c that the bounds cannot use.
+            theory_bounds(self.family.c, self.lam, self.d)
             for n in n_list:
                 y = edge_distance(self.family, n)
                 try:
@@ -125,6 +127,8 @@ class ExperimentSpec:
         if kind.epsilon:
             if self.epsilon is None or not self.epsilon >= 0.0:
                 raise ValueError(f"{self.kind} requires epsilon >= 0")
+            for n in n_list:
+                containment_radius(n, self.lam, self.d, self.epsilon)
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind} does not take epsilon")
 

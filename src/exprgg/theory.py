@@ -113,7 +113,13 @@ def containment_radius(n, lam: float, d: int, epsilon: float = 0.0) -> float:
     _check_rate(lam)
     _check_dim(d)
     _check_nonnegative(epsilon, "epsilon")
-    return (1.0 + epsilon) * math.log(n) / lam
+    radius = (1.0 + epsilon) * math.log(n) / lam
+    if not 0.0 < radius < math.inf:
+        raise ValueError(
+            f"the containment radius (1 + epsilon) log n / lam must be finite and "
+            f"positive, got {radius} from lam={lam}, epsilon={epsilon}, n={n}"
+        )
+    return radius
 
 
 def _root_equation(a: float) -> float:
@@ -149,10 +155,9 @@ def a_min(c: float, lam: float, d: int) -> Tuple[float, bool]:
     root below 1 and (0.0, False) is returned, a degenerate-but-usable bound.
     c = inf gives (1.0, True).
     """
-    _check_root_args(c, lam, d)
+    r = _root_target(c, lam, d)
     if math.isinf(c):
         return 1.0, True
-    r = 1.0 / (lam**d * c)
     if r >= 1.0:
         return 0.0, False
     lo = 1e-15
@@ -165,21 +170,42 @@ def a_min(c: float, lam: float, d: int) -> Tuple[float, bool]:
 def a_max(c: float, lam: float, d: int) -> float:
     """The root in [1, inf) of a*log(a) - a + 1 = 1/(lam^d * c), scaling the
     max-degree limsup bound. c = inf gives 1.0."""
-    _check_root_args(c, lam, d)
+    r = _root_target(c, lam, d)
     if math.isinf(c):
         return 1.0
-    r = 1.0 / (lam**d * c)
     hi = 2.0
     while _root_equation(hi) < r:
         hi *= 2.0
     return _bisect(_root_equation, 1.0, hi, r, increasing=True)
 
 
-def _check_root_args(c: float, lam: float, d: int) -> None:
+def _root_target(c: float, lam: float, d: int) -> float:
+    """1 / (lam^d * c), the right-hand side of the root equation; 0 at c = inf.
+
+    Refused unless lam^d is finite and positive and, for finite c, so are
+    lam^d * c and its reciprocal: an extreme lam would otherwise overflow
+    or divide by zero inside the arithmetic, or send the bracket search of
+    ``a_max`` to infinity.
+    """
     if not c > 0.0:
         raise ValueError(f"c must be positive (or inf), got {c}")
     _check_rate(lam)
     _check_dim(d)
+    try:
+        lam_d = lam**d
+    except OverflowError:
+        lam_d = math.inf
+    if not 0.0 < lam_d < math.inf:
+        raise ValueError(f"lam^d must be finite and positive, got lam={lam}, d={d}")
+    if math.isinf(c):
+        return 0.0
+    product = lam_d * c
+    if not (0.0 < product < math.inf and 1.0 / product < math.inf):
+        raise ValueError(
+            f"lam^d * c must be finite and positive with a finite reciprocal, got "
+            f"{product} from lam={lam}, d={d}, c={c}"
+        )
+    return 1.0 / product
 
 
 def theory_bounds(c: float, lam: float, d: int) -> TheoryBounds:
@@ -192,7 +218,7 @@ def theory_bounds(c: float, lam: float, d: int) -> TheoryBounds:
     hi_root = a_max(c, lam, d)
     lam_d = lam**d
     if not math.isinf(c):
-        r = 1.0 / (lam_d * c)
+        r = _root_target(c, lam, d)
         if has_root and abs(_root_equation(lo_root) - r) > ROOT_RESIDUAL_TOL:
             raise ArithmeticError("a_min residual exceeds tolerance")
         if abs(_root_equation(hi_root) - r) > ROOT_RESIDUAL_TOL:

@@ -151,10 +151,19 @@ def test_sample_rejects_bad_args(capsys):
         ["sample", "--n", "3", "--d", "1", "--lambda", "1e-320", "--seed", "1"],
         ["experiment", "containment", "--d", "1", "--lambda", "1", "--n", "100", "--reps", "2",
          "--seed", "1", "--epsilon", "nan", "--out", "OUT"],
+        # Finite lambda whose radius, lambda^d or lambda^d * c over- or underflows
+        ["theory", "radius", "--n", "10", "--lambda", "1e-320", "--d", "1"],
+        ["theory", "a-min", "--c", "1", "--lambda", "1e-200", "--d", "2"],
+        ["theory", "bounds", "--c", "1", "--lambda", "1e200", "--d", "2"],
+        ["experiment", "containment", "--d", "1", "--lambda", "1", "--n", "100", "--reps", "2",
+         "--seed", "1", "--epsilon", "inf", "--out", "OUT"],
+        ["experiment", "degree-law", "--d", "1", "--lambda", "1e-10", "--c", "1e-300",
+         "--n", "100", "--reps", "2", "--seed", "1", "--out", "OUT"],
     ],
     ids=["p-nan-y", "p-inf-lambda", "radius-nan-epsilon", "radius-inf-lambda",
          "a-max-inf-lambda", "chernoff-nan-k", "chernoff-inf-k", "sample-subnormal-lambda",
-         "containment-nan-epsilon"],
+         "containment-nan-epsilon", "radius-subnormal-lambda", "a-min-underflowing-lambda-d",
+         "bounds-overflowing-lambda-d", "containment-inf-epsilon", "degree-law-subnormal-product"],
 )
 def test_nan_and_inf_parameters_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"

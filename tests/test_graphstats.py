@@ -11,6 +11,7 @@ from conftest import (
 from exprgg import (
     RggConfig,
     brute_force_edges,
+    build_grid_index,
     degree_ratios,
     degree_summary,
     edge_density_gap,
@@ -105,6 +106,50 @@ def test_matches_brute_force_on_random_clouds():
     for cloud, ys, degrees in (few_value_cloud(), few_value_cloud(d=2, n=2000)):
         for y, expected in zip(ys, degrees):
             assert degree_summary(cloud, y) == DegreeSummary.from_degrees(expected), (cloud.d, y)
+
+
+def test_column_engine_matches_brute_force_at_its_edges():
+    # At d >= 2 the last axis is swept in sorted windows and the other axes
+    # are split into columns of width y. Each cloud is checked at y = 0 too.
+    rng = np.random.default_rng(31)
+    eighth = 0.125
+    cases, empty = [], []
+    for d in (2, 3, 4):
+        # The 1/8 lattice at y on it: many pairs lie exactly y apart on the
+        # last axis (a tie at a window end) and on a column axis, where the
+        # points sit on the column boundaries.
+        lattice = rng.integers(0, 24, size=(300, d)) / 8.0
+        gaps = np.abs(lattice[:, None, :] - lattice[None, :, :])
+        ys = (eighth, 2 * eighth, 3 * eighth)
+        assert all(np.any(gaps[..., -1] == y) and np.any(gaps[..., 0] == y) for y in ys)
+        cases.append((make_cloud(lattice), ys))
+        # Every point in one column: the first d - 1 axes span less than y.
+        column = np.column_stack((0.2 * rng.random((200, d - 1)), rng.integers(0, 40, 200) / 8))
+        cases.append((make_cloud(column), (0.25, 0.5)))
+        # Empty graphs: every last-axis gap exceeds y, and (through the
+        # columns) every last-axis gap is within y but the first axis
+        # separates every pair.
+        spread = rng.permutation(np.cumsum(1.0 + rng.random(100)))
+        stairs = np.arange(100.0)
+        empty += [
+            (make_cloud(np.column_stack([spread] * d)), 0.5),
+            (make_cloud(np.column_stack([2.0 * stairs] * (d - 1) + [0.01 * stairs])), 1.0),
+        ]
+    # Near-coincident pairs at y = 1e-9, where the columns widen to keep
+    # their cell keys within int64 (the d = 3 cloud of tie_and_overflow_clouds
+    # is checked above).
+    base = 1.0 + rng.exponential(size=(100, 4))
+    steps = rng.choice([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], size=base.shape)
+    points = np.concatenate((base, base + steps))
+    assert build_grid_index(make_cloud(points[:, :-1]), 1e-9).cell_size > 1e-9
+    cases.append((make_cloud(points), (1e-9,)))
+    cases += [(cloud, (y,)) for cloud, y in empty]
+    for cloud, ys in cases:
+        for y in (0.0, *ys):
+            expected = summary_from_edges(cloud.n, brute_force_edges(cloud, y))
+            assert degree_summary(cloud, y) == expected, (cloud.d, y)
+    for cloud, y in empty:
+        assert degree_summary(cloud, y).max_degree == 0, (cloud.d, y)
 
 
 def test_handshake_and_bound_chain():

@@ -168,21 +168,36 @@ def test_grid_matches_brute_force_on_random_clouds():
 
 
 def test_candidate_pairs_cover_adjacent_cells_once_in_bounded_chunks():
+    # The columns of degree_summary: vertex id = rank on the last axis, a
+    # grid on the other axes, and each rank's last-axis window [starts,
+    # ends) found here by a scan of the oracle's own subtraction.
     rng = np.random.default_rng(11)
-    cases = [(cloud, y) for cloud, ys in tie_and_overflow_clouds() if cloud.d >= 2 for y in ys]
-    cases += [(make_cloud(rng.exponential(size=(400, d))), y) for d in (2, 3) for y in (0.1, 0.4)]
-    # A lone point in the first cell has no same-cell run; the next cell's
-    # first run is longer than 7, so a chunk could start with only empty runs.
+    cases = [
+        (cloud, y) for cloud, ys in tie_and_overflow_clouds() if cloud.d >= 2 for y in (0.0, *ys)
+    ]
+    cases += [
+        (make_cloud(rng.exponential(size=(400, d))), y) for d in (2, 3, 4) for y in (0.1, 0.4)
+    ]
+    # A lone point in the first column has no same-cell run; the next
+    # column's first run is longer than 7, so a chunk could start with only
+    # empty runs.
     cases.append((make_cloud([[0.0, 0.0]] + [[2.5, 0.5]] * 9), 1.0))
     for cloud, y in cases:
-        index = build_grid_index(cloud, y)
-        cells = np.floor(cloud.points[index._members] / index.cell_size)
+        order = np.argsort(cloud.points[:, -1])
+        xs = cloud.points[order, -1]
+        in_window = np.abs(xs[:, None] - xs[None, :]) <= y  # one run per row
+        starts = in_window.argmax(axis=1)
+        ends = len(xs) - in_window[:, ::-1].argmax(axis=1)
+        index = build_grid_index(make_cloud(cloud.points[order, :-1]), max(y, 2.0**-40))
+        ranks = index._members
+        cells = np.floor(index.cloud.points[ranks] / index.cell_size)
         near = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
+        near &= in_window[np.ix_(ranks, ranks)]
         expected = set(zip(*np.nonzero(np.triu(near, 1))))
         largest = int(np.diff(index._starts).max())
         for chunk in (1, 7, _CANDIDATE_CHUNK):
             pairs = []
-            for left, right in iter_candidate_pairs(index, chunk):
+            for left, right in iter_candidate_pairs(index, starts, ends, chunk):
                 assert 0 < len(left) <= max(chunk, largest)
                 assert np.all(np.diff(left) >= 0) and np.all(left < right)
                 pairs += zip(left.tolist(), right.tolist())

@@ -69,9 +69,19 @@ def test_pair_connect_prob_monotonicity():
         (lambda: containment_radius(10, math.inf, 1), "lam must be a positive finite rate"),
         (lambda: a_min(1.0, math.inf, 1), "lam must be a positive finite rate"),
         (lambda: a_max(1.0, math.inf, 1), "lam must be a positive finite rate"),
+        # Finite lam whose lam^d, lam^d * c or radius over- or underflows.
+        (lambda: containment_radius(10, 1e-320, 1), "radius .* got inf from lam=1e-320"),
+        (lambda: containment_radius(10, 1.0, 1, math.inf), "radius .* got inf"),
+        (lambda: a_min(1.0, 1e-200, 2), "lam\\^d must be finite and positive"),
+        (lambda: theory_bounds(1.0, 1e200, 2), "lam\\^d must be finite and positive"),
+        (lambda: a_max(math.inf, 1e200, 2), "lam\\^d must be finite and positive"),
+        (lambda: a_max(1e-300, 1e-10, 1), "lam\\^d \\* c must be finite and positive"),
+        (lambda: a_min(1e300, 1e10, 1), "lam\\^d \\* c must be finite and positive"),
     ],
     ids=["p-nan-y", "p-inf-lam", "radius-nan-epsilon", "radius-inf-lam", "a-min-inf-lam",
-         "a-max-inf-lam"],
+         "a-max-inf-lam", "radius-subnormal-lam", "radius-inf-epsilon",
+         "a-min-underflowing-lam-d", "bounds-overflowing-lam-d", "a-max-inf-c-overflowing-lam-d",
+         "a-max-subnormal-product", "a-min-overflowing-product"],
 )
 def test_refuses_parameters_outside_the_laws_domain(call, message):
     with pytest.raises(ValueError, match=message):
