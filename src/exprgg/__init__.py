@@ -13,7 +13,6 @@ from .model import (
     TheoryBounds,
 )
 from .sampling import (
-    SeedDerivation,
     derive_replication_seed,
     exponential_inverse_cdf,
     read_cloud,

@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="grid neighbour queries, degree_summary (sorted sweep at d = 1, sorted "
         "last-axis windows over a grid of columns at d >= 2) and the y-grid edge "
-        "counter vs the brute force oracle, on each sampled cloud and on its "
-        "1/4-lattice snap",
+        "counter vs the brute force oracle, on each sampled cloud, on its "
+        "1/4-lattice snap, and at y equal to the distance between its vertices 0 and 1",
     )
     _add_flags(p_verify, ("cases", "max-n", "seed"))
     p_verify.set_defaults(run=_cmd_verify)
@@ -241,7 +241,9 @@ def _engine_mismatches(cloud: PointCloud, y: float) -> List[str]:
 def _cmd_verify(args) -> int:
     """Each case checks every engine on a sampled cloud, then on that cloud
     snapped to the 1/4 lattice with y moved onto the lattice above it, where
-    ties at distance exactly y are common."""
+    ties at distance exactly y are common, then on the sampled cloud at y
+    equal to the oracle's own distance between vertices 0 and 1, so that at
+    least one pair lies at exactly y."""
     if args.cases < 1 or args.max_n < 2:
         raise ValueError("verify needs --cases >= 1 and --max-n >= 2")
     mismatches = 0
@@ -254,10 +256,13 @@ def _cmd_verify(args) -> int:
         y = float(u[3]) * 1.5 / lam
         cloud = sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0))
         snapped = replace(cloud, points=np.floor(4 * cloud.points) / 4)
+        checks = [(cloud, y, ""), (snapped, (math.floor(4 * y) + 1) / 4, ", 1/4 lattice")]
+        realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
+        if realised > 0.0:  # a cell size of 0 is refused
+            checks.append((cloud, realised, ", realised distance"))
         failed = [
             f"(n={n}, d={d}, lambda={fmt17(lam)}, y={fmt17(at)}{where}) in {', '.join(names)}"
-            for c, at, where in ((cloud, y, ""),
-                                 (snapped, (math.floor(4 * y) + 1) / 4, ", 1/4 lattice"))
+            for c, at, where in checks
             if (names := _engine_mismatches(c, at))
         ]
         if failed:

@@ -14,7 +14,6 @@ particular uniform draw forces the corresponding coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
 import numpy as np
@@ -51,23 +50,6 @@ def derive_replication_seed(base_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"replication index must be >= 0, got {index}")
     return mix64(base_seed + (index + 1) * GOLDEN)
-
-
-@dataclass(frozen=True)
-class SeedDerivation:
-    """A (base_seed, replication_index) pair and the seed it derives."""
-
-    base_seed: int
-    replication_index: int
-
-    def __post_init__(self) -> None:
-        _check_seed(self.base_seed, "base_seed")
-        if self.replication_index < 0:
-            raise ValueError("replication_index must be >= 0")
-
-    @property
-    def derived(self) -> int:
-        return derive_replication_seed(self.base_seed, self.replication_index)
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:

@@ -7,8 +7,8 @@ The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 has to scan the 3^d cells around a point. For every d, each cell has one
 int64 key, so one sorted key array and one ``searchsorted`` serve every cell
 lookup. The index matches each occupied cell with its occupied neighbours
-once, at build time; pair enumeration, block enumeration and single-point
-queries all read that one table.
+once, at build time; pair and block enumeration read that table, and a
+single-point query looks its cells up by the key deltas it matched.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
@@ -24,7 +24,6 @@ O(n) or O(pairs).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, List, Set, Tuple
 
@@ -34,7 +33,7 @@ from .model import PointCloud, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
-_KEY_LIMIT = 2**63 - 1  # largest int64: the largest cell key
+_MAX_AXES = 12  # the build walks 3^k cell offsets in Python; 3^12 takes seconds
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
 
@@ -88,8 +87,8 @@ class GridIndex:
     def __init__(self, cloud: PointCloud, cell_size: float):
         if not cell_size > 0.0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
-        if 3**cloud.d > _KEY_LIMIT:
-            raise ValueError(f"the grid index supports d <= 39, got d={cloud.d}")
+        if cloud.d > _MAX_AXES:
+            raise ValueError(f"the grid index supports at most {_MAX_AXES} axes, got {cloud.d}")
         self.cloud = cloud
         shifted, self.cell_size, radix = _fit_cells(cloud.points, float(cell_size))
         keys = shifted[:, 0]
@@ -132,20 +131,22 @@ class GridIndex:
         occupied cells appears once. Kept per offset, not concatenated: pair
         chunks then restart at each offset, which keeps each chunk's left
         positions ascending, and packing all offsets into full chunks raised
-        peak memory by half on d = 2 clouds."""
-        strides = [math.prod(radix[k + 1:]) for k in range(len(radix))]
+        peak memory by half on d = 2 clouds. ``_deltas`` keeps 0 and +-delta
+        of each matched offset, the only key deltas between occupied cells."""
+        deltas = np.zeros(1, dtype=np.int64)
+        for k in range(len(radix)):
+            # Axis 0 outermost: every radix is >= 3, so the deltas ascend,
+            # and the upper half holds the lexicographically positive offsets.
+            deltas = (deltas[:, None] + np.array([-1, 0, 1]) * math.prod(radix[k + 1:])).ravel()
         groups = np.arange(self.n_cells, dtype=np.int64)
-        matched = []
-        for off in itertools.product((-1, 0, 1), repeat=len(radix)):
-            # Every radix is >= 3, so the key delta is positive exactly when
-            # the offset is lexicographically positive.
-            delta = sum(o * s for o, s in zip(off, strides))
-            if delta <= 0:
-                continue
+        matched, found = [], []
+        for delta in deltas[len(deltas) // 2 + 1:]:
             neighbor = self._groups_of(self._cell_keys + delta)
             present = neighbor >= 0
             if np.any(present):
                 matched.append((groups[present], neighbor[present]))
+                found.append(delta)
+        self._deltas = np.array([0] + found + [-f for f in found], dtype=np.int64)
         return matched
 
 
@@ -248,7 +249,7 @@ def iter_matched_blocks(
 def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
     """Vertex ids j != i with ||X_i - X_j||_inf <= y (boundary inclusive).
 
-    Requires y <= cell_size so the 3^d-cell scan around i's cell is complete.
+    Requires y <= cell_size so i's cell and its matched neighbour cells hold them all.
     """
     n = index.cloud.n
     if not 0 <= i < n:
@@ -258,14 +259,12 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
         raise ValueError(
             f"y={y} exceeds cell_size={index.cell_size}; rebuild the index"
         )
-    g = int(index._groups_of(index._vertex_keys[i]))
-    groups = [g]
-    for groups_a, groups_b in index._adjacent:
-        groups += [*groups_b[groups_a == g], *groups_a[groups_b == g]]
-    cand = np.concatenate([index.members(h) for h in groups])
-    dist = np.abs(index.cloud.points[cand] - index.cloud.points[i]).max(axis=1)
-    hits = cand[dist <= y]
-    return {int(j) for j in hits if j != i}
+    groups = index._groups_of(index._vertex_keys[i] + index._deltas)
+    cand = np.concatenate([index.members(g) for g in groups[groups >= 0]])
+    near = np.abs(index.cloud.points[cand] - index.cloud.points[i]) <= y
+    # Rows of a contiguous (d, k) copy reduce several times faster than (k, d).
+    hits = cand[np.logical_and.reduce(np.ascontiguousarray(near.T))]
+    return set(hits[hits != i].tolist())
 
 
 def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:
@@ -317,8 +316,9 @@ def brute_force_edges(cloud: PointCloud, y: float) -> np.ndarray:
     row_chunk = max(1, _PAIR_CHUNK // n)
     for lo in range(0, n, row_chunk):
         hi = min(lo + row_chunk, n)
-        hit = np.abs(pts[lo:hi, None, :] - pts[None, :, :]).max(axis=2) <= y
-        hit &= ids[lo:hi, None] < ids
+        hit = ids[lo:hi, None] < ids
+        for k in range(cloud.d):  # per axis: a max over axis 2 is several times slower
+            hit &= np.abs(pts[lo:hi, k, None] - pts[None, :, k]) <= y
         ii, jj = np.nonzero(hit)
         blocks.append(np.column_stack((ii + lo, jj)))
     return np.concatenate(blocks).astype(np.int64, copy=False)

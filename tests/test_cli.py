@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,28 @@ def test_nan_and_inf_parameters_exit_one(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, axes",
+    [
+        (["graph", "--d", "14", "--y", "0.5"], 13),
+        (["graph", "--d", "40", "--y", "0.5"], 39),
+        (["experiment", "uniform-slln", "--d", "13", "--reps", "1", "--out", "OUT"], 13),
+    ],
+    ids=["graph-d14", "graph-d40", "uniform-slln-d13"],
+)
+def test_grid_over_twelve_axes_refused_before_its_offset_walk(tmp_path, capsys, argv, axes):
+    # The index walks the 3^k offsets of its k axes; degree counts index the
+    # first d - 1 axes, the uniform-slln y-grid all d. Refused at once, not
+    # after minutes or ages.
+    argv = [str(tmp_path / "x.csv") if a == "OUT" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--n", "50", "--lambda", "1", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"exprgg: error: the grid index supports at most 12 axes, got {axes}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graph_csv_and_json(capsys):
     args = ["graph", "--n", "50", "--d", "2", "--lambda", "1", "--y", "0.3", "--seed", "4"]
     code, out_csv, _ = run_cli(capsys, *args)
@@ -225,7 +248,8 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     assert out == "verify: 3 cases, 0 matched\n"
     assert err.count("in degrees\n") == 3 and "neighbors" not in err
     monkeypatch.undo()
-    # One edge too many at each y, on the sampled and the lattice clouds alike.
+    # One edge too many at each y, on the sampled and the lattice clouds and
+    # at the realised distance alike.
     real = cli._edge_counts_multi
     monkeypatch.setattr(cli, "_edge_counts_multi", lambda cloud, ys: real(cloud, ys) + 1)
     code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
@@ -233,8 +257,9 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     assert out == "verify: 3 cases, 0 matched\n"
     lines = err.splitlines()
     assert len(lines) == 3
-    assert all(line.endswith(", 1/4 lattice) in edge-counts") for line in lines)
-    assert all(line.count(" in edge-counts") == 2 for line in lines)
+    assert all(", 1/4 lattice) in edge-counts; " in line for line in lines)
+    assert all(line.endswith(", realised distance) in edge-counts") for line in lines)
+    assert all(line.count(" in edge-counts") == 3 for line in lines)
     assert "neighbors" not in err and "degrees" not in err
 
 

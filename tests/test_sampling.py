@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import ks_statistic_exponential
 from exprgg import (
-    SeedDerivation,
     derive_replication_seed,
     exponential_inverse_cdf,
     read_cloud,
@@ -39,13 +38,11 @@ def test_derivation_is_deterministic_and_distinct():
     assert derive_replication_seed(s, 0) != derive_replication_seed(s, 1)
 
 
-def test_seed_derivation_dataclass():
-    sd = SeedDerivation(base_seed=42, replication_index=7)
-    assert sd.derived == derive_replication_seed(42, 7)
+def test_derivation_refuses_negative_seed_and_index():
     with pytest.raises(ValueError):
-        SeedDerivation(base_seed=-1, replication_index=0)
+        derive_replication_seed(-1, 0)
     with pytest.raises(ValueError):
-        SeedDerivation(base_seed=0, replication_index=-2)
+        derive_replication_seed(0, -2)
 
 
 def _derive_vectorized(base: int, count: int) -> np.ndarray:

@@ -118,6 +118,15 @@ def test_neighbors_never_returns_self():
         assert hits == {0, 1, 2} - {i}
 
 
+def test_neighbors_found_at_a_lexicographically_negative_offset():
+    # Cell (0, 1) lies at offset (-1, +1) from cell (1, 0): the index matched
+    # that pair at the positive offset (+1, -1), from (0, 1)'s side.
+    index = build_grid_index(make_cloud([[1.5, 0.5], [0.5, 1.5], [5.0, 5.0]]), 1.0)
+    assert neighbors_within(index, 0, 1.0) == {1}
+    assert neighbors_within(index, 1, 1.0) == {0}
+    assert neighbors_within(index, 0, 0.5) == set()
+
+
 def test_neighbors_rejects_bad_queries():
     cloud = make_cloud([0.0, 1.0])
     index = build_grid_index(cloud, 0.5)
@@ -147,22 +156,23 @@ def test_grid_matches_brute_force_on_random_clouds():
         case_seed = derive_replication_seed(99, case)
         u = uniform_stream(case_seed, 4)
         n = 2 + int(u[0] * 398)
-        d = 1 + int(u[1] * 3) % 3
+        d = 1 + int(u[1] * 5) % 5  # up to 3^5 = 243 offsets
         lam = 0.5 + 1.5 * u[2]
         y = float(u[3]) * 1.5 / lam
-        cases.append(
-            (sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0)), y)
-        )
+        cloud = sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0))
+        # Also at y = the oracle's distance between vertices 0 and 1, a tie.
+        realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
+        cases += [(cloud, y), (cloud, realised)]
     cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in ys]
     mismatches = []
     for case, (cloud, y) in enumerate(cases):
-        expected = set(map(tuple, brute_force_edges(cloud, y).tolist()))
+        # Directed edges i * n + j, so a query that misses a neighbour its
+        # partner's query finds fails.
+        n, edges = cloud.n, brute_force_edges(cloud, y)
+        expected = np.sort(np.concatenate((edges @ [n, 1], edges @ [1, n])))
         index = build_grid_index(cloud, y)
-        got = set()
-        for i in range(cloud.n):
-            for j in neighbors_within(index, i, y):
-                got.add((i, j) if i < j else (j, i))
-        if got != expected:
+        got = [i * n + np.fromiter(neighbors_within(index, i, y), np.int64) for i in range(n)]
+        if not np.array_equal(np.sort(np.concatenate(got)), expected):
             mismatches.append(case)
     assert mismatches == []
 
