@@ -24,7 +24,6 @@ from .experiments import (
     KINDS,
     ExperimentSpec,
     _csv_cell,
-    _edge_counts_multi,
     _json_object,
     emit,
     fmt17,
@@ -32,7 +31,7 @@ from .experiments import (
     spec_from_json_file,
     write_manifest,
 )
-from .graphstats import degree_summary
+from .graphstats import _edge_counts_multi, degree_summary
 from .model import LogRegime, PointCloud, PowerFamily
 from .sampling import (
     derive_replication_seed,
@@ -165,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="grid neighbour queries, degree_summary (sorted sweep at d = 1, sorted "
-        "last-axis windows over a grid of columns at d >= 2) and the y-grid edge "
-        "counter vs the brute force oracle, on each sampled cloud, on its "
-        "1/4-lattice snap, and at y equal to the distance between its vertices 0 and 1",
+        help="grid neighbour queries, and degree counts and y-grid edge counts (a sorted "
+        "sweep at d = 1, sorted last-axis windows over a grid of columns at d >= 2), vs "
+        "the brute force oracle, on each sampled cloud, on its 1/4-lattice snap, and at "
+        "y equal to the distance between its vertices 0 and 1",
     )
     _add_flags(p_verify, ("cases", "max-n", "seed"))
     p_verify.set_defaults(run=_cmd_verify)

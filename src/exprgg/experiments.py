@@ -34,9 +34,9 @@ from .model import (
     _check_seed,
     fmt17,
 )
-from .graphstats import degree_ratios, degree_summary, edge_density_gap
+from .graphstats import _edge_counts_multi, degree_ratios, degree_summary, edge_density_gap
 from .sampling import derive_replication_seed, sample_exponential_cloud
-from .spatial import build_grid_index, iter_matched_blocks, sorted_window_ends
+from .spatial import build_grid_index, iter_matched_blocks  # unused; bench tracing patches them
 from .theory import (
     containment_radius,
     edge_distance,
@@ -48,8 +48,6 @@ from .theory import (
 ARTIFACT_NAME = "exprgg"
 
 DEFAULT_Y_GRID = tuple(i / 20 for i in range(1, 21))  # 0.05, 0.10, ..., 1.00
-
-_BLOCK_ENTRIES = 1 << 22  # cap on broadcast distance-matrix entries per step
 
 # JSON and table name of each field whose Python name differs ("lambda" is
 # reserved in Python); every other field keeps its name.
@@ -178,37 +176,6 @@ def _family_columns(family: Optional[EdgeDistanceFamily]):
     if isinstance(family, PowerFamily):
         return "power", family.alpha, family.beta
     return None, None, None
-
-
-def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
-    """Edge counts of G_n(y) for every y in an ascending grid, boundary-inclusive.
-
-    At d = 1 the coordinates are sorted once and each y costs one
-    sorted-window pass; no pair is enumerated. At d >= 2 one index at
-    cell_size = max(y) covers the whole grid; distances are computed
-    block-by-block with broadcasting (the cells are large here), and each
-    pair is binned once. A same-cell block holds the full symmetric distance
-    matrix, so it counts each pair twice and each point once, at distance 0:
-    cross-cell counts are doubled to match, and the n self-distances removed
-    before halving.
-    """
-    ys = np.asarray(y_values, dtype=np.float64)
-    if cloud.d == 1:
-        xs = np.sort(cloud.points[:, 0])
-        starts = cloud.n * (cloud.n + 1) // 2  # the forward windows start at 1..n
-        return np.array([sorted_window_ends(xs, y).sum() - starts for y in ys])
-    index = build_grid_index(cloud, float(ys[-1]))
-    pts = cloud.points
-    tally = np.zeros(len(ys), dtype=np.int64)
-    for block_a, block_b, same in iter_matched_blocks(index):
-        weight = 1 if same else 2
-        row_step = max(1, _BLOCK_ENTRIES // max(len(block_b), 1))
-        for lo in range(0, len(block_a), row_step):
-            sub = block_a[lo:lo + row_step]
-            dist = np.abs(pts[sub, None, :] - pts[None, block_b, :]).max(axis=2)
-            for j, y in enumerate(ys):
-                tally[j] += weight * np.count_nonzero(dist <= y)
-    return (tally - cloud.n) // 2
 
 
 def _graph_columns(spec: ExperimentSpec, cloud: PointCloud, own) -> dict:

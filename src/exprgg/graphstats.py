@@ -1,5 +1,5 @@
-"""Degree statistics of the radius-y graph on a point cloud, plus the
-normalized ratios and edge-density gap that the strong-law bounds speak about.
+"""Degree statistics and y-grid edge counts of the radius-y graph on a point
+cloud, plus the ratios and edge-density gap that the strong-law bounds use.
 """
 
 from __future__ import annotations
@@ -14,20 +14,62 @@ from .spatial import build_grid_index, iter_candidate_pairs, sorted_window_ends
 from .theory import pair_connect_prob
 
 
+def _last_axis_windows(cloud: PointCloud, y: float):
+    """(order, starts, ends): the vertices sorted on the last axis and each rank
+    r's window [starts[r], ends[r]) within y on it, r included; ends ascends and
+    |fl(a - b)| = |fl(b - a)|, so starts[r] counts the windows that end at or
+    before r. None when no sorted gap is within y: the graph is empty."""
+    # Windows end only where the coordinate changes, so equal coordinates get
+    # equal windows in any order: hence the default sort, not a slower stable one.
+    order = np.argsort(cloud.points[:, -1])
+    xs = cloud.points[order, -1]
+    if not np.any(xs[1:] - xs[:-1] <= y):
+        return None
+    ends = sorted_window_ends(xs, y)
+    del xs  # n floats fewer while starts is counted
+    starts = np.cumsum(np.bincount(ends, minlength=cloud.n + 1)[:cloud.n])
+    return order, starts, ends
+
+
+def _column_pairs(cloud: PointCloud, y: float, span: float, windows, axes: int):
+    """(members, cols, pairs) at d >= 2, from a grid of columns on the first
+    d - 1 axes over the sorted ranks: the ranks in column order, the first
+    ``axes`` axes gathered in that order, and ``iter_candidate_pairs`` inside
+    ``windows``. Any cell width >= y finds every pair within y; a positive one
+    keeps y = 0 here even when 2^-52 of ``span``, the indexed extent, underflows."""
+    order, starts, ends = windows
+    ranked = cloud.points[order, :axes]
+    ranked.setflags(write=False)  # so PointCloud takes it without a copy
+    index = build_grid_index(
+        PointCloud(cloud.d - 1, ranked[:, :cloud.d - 1], cloud.seed, cloud.lam),
+        max(y, span * 2**-52, math.ulp(0.0)))
+    cols = ranked[index._members].T.copy()  # gathered once, in column order
+    return index._members, cols, iter_candidate_pairs(index, starts, ends)
+
+
+def _pair_distances(cols: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each pair's largest |fl(a - b)| over the rows of ``cols``, as in the oracle."""
+    dist = None
+    for col in cols:  # row by row: a 2-d gather is about twice as slow
+        diff = col[left]  # a fresh copy, so in-place work is safe
+        diff -= col[right]
+        np.abs(diff, out=diff)
+        dist = diff if dist is None else np.maximum(dist, diff, out=dist)
+    return dist
+
+
 def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     """Degrees, edge count and degree extremes of the graph G_n(y) on ``cloud``.
 
     Two vertices are adjacent iff their l-inf distance is <= y (inclusive).
     Two exact returns count nothing: when y covers the cloud's extent on
     every axis the graph is complete, and when every gap between neighbours
-    sorted on the last axis exceeds y it is empty. Otherwise the last axis is
-    swept in sorted order, which gives each vertex its exact window of
-    last-axis neighbours. At d = 1 the windows are the degrees, and no pair is
-    enumerated. At d >= 2 a grid on the first d - 1 axes splits the vertices
-    into columns, and degrees are accumulated from candidate pairs that lie
-    in each other's window in the same or adjacent columns, in vectorized
-    chunks; memory stays O(n) plus one bounded chunk. y = 0 takes the same
-    paths as any other y.
+    sorted on the last axis exceeds y it is empty. Otherwise each vertex gets
+    its exact window of last-axis neighbours, which at d = 1 is its degree,
+    with no pair enumerated. At d >= 2 degrees are tallied from the candidate
+    pairs inside the windows in the same or adjacent columns of a grid on the
+    other axes, in vectorized chunks; memory stays O(n) plus one bounded
+    chunk. y = 0 takes the same paths as any other y.
     """
     n = cloud.n
     if n < 2:
@@ -35,65 +77,59 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     _check_nonnegative(y, "y")
     # One reduction per axis column: reducing the (n, d) array over axis 0
     # is about 15x slower at d = 2.
-    axes = cloud.points.T
-    span = np.array([col.max() - col.min() for col in axes])
+    span = np.array([col.max() - col.min() for col in cloud.points.T])
     if np.all(span <= y):
         # Complete graph: subtraction is monotone in each operand, so every
         # pair's computed distance is at most the computed span.
         return DegreeSummary.from_degrees(np.full(n, n - 1, dtype=np.int64))
-    # Windows end only where the last coordinate changes, so equal
-    # coordinates get equal windows whatever their order; hence the default
-    # sort, which is several times faster than a stable one.
-    order = np.argsort(axes[-1])
-    xs = axes[-1][order]
-    if not np.any(xs[1:] - xs[:-1] <= y):
-        # Empty graph: no window passes its first gap (see
-        # sorted_window_ends), so no vertex has a neighbour.
+    windows = _last_axis_windows(cloud, y)
+    if windows is None:
         return DegreeSummary.from_degrees(np.zeros(n, dtype=np.int64))
-    # Sorted rank r's last-axis window is [starts[r], ends[r]), r included:
-    # ends is nondecreasing and |fl(a - b)| = |fl(b - a)|, so the earlier
-    # ranks whose window reaches past r are exactly those from starts[r] on,
-    # and starts[r] counts the windows that end at or before r.
-    ends = sorted_window_ends(xs, y)
-    del xs  # n floats fewer at the column engine's peak
-    starts = np.cumsum(np.bincount(ends, minlength=n + 1)[:n])
+    order, starts, ends = windows
     if cloud.d == 1:
-        # The window less the vertex itself.
         ends -= starts
-        ends -= 1
-        deg = np.empty(n, dtype=np.int64)
-        deg[order] = ends
-        return DegreeSummary.from_degrees(deg)
-    # At d >= 2 the columns are indexed by rank; PointCloud takes a
-    # read-only projection without a copy. Any cell width >= y finds every
-    # edge; a positive one keeps y = 0 (only coincident points adjacent) on
-    # this same path, even when the span is so small that a 2^-52 share of
-    # it underflows to 0.
-    projected = cloud.points[order, :-1]
-    projected.setflags(write=False)
-    index = build_grid_index(
-        PointCloud(cloud.d - 1, projected, cloud.seed, cloud.lam),
-        max(y, span[:-1].max() * 2**-52, math.ulp(0.0)),
-    )
-    # Candidates come as member positions in column order, so the first
-    # d - 1 coordinates are gathered once into column-ordered axis arrays;
-    # the windows already hold the last axis to <= y. Each chunk's positions
-    # lie at or after its first left, so its tally spans only from there.
-    cols = projected[index._members].T.copy()
-    tally = np.zeros(n, dtype=np.int64)
-    for left, right in iter_candidate_pairs(index, starts, ends):
-        hit = np.ones(len(left), dtype=bool)
-        for col in cols:
-            diff = col[left]  # a fresh copy, so in-place work is safe
-            diff -= col[right]
-            hit &= np.abs(diff, out=diff) <= y
-        lo = int(left[0])
-        for side in (left[hit], right[hit]):
-            counts = np.bincount(side - lo)
-            tally[lo:lo + len(counts)] += counts
+        ends -= 1  # the window less the vertex itself
+        members, tally = slice(None), ends  # positions are the ranks
+    else:
+        # The windows hold the last axis to <= y. A chunk's positions lie at
+        # or after its first left, so its tally spans only from there.
+        members, cols, pairs = _column_pairs(cloud, y, span[:-1].max(), windows, cloud.d - 1)
+        tally = np.zeros(n, dtype=np.int64)
+        for left, right in pairs:
+            hit = _pair_distances(cols, left, right) <= y
+            lo = int(left[0])
+            for side in (left[hit], right[hit]):
+                counts = np.bincount(side - lo)
+                tally[lo:lo + len(counts)] += counts
     deg = np.empty(n, dtype=np.int64)
-    deg[order[index._members]] = tally
+    deg[order[members]] = tally
     return DegreeSummary.from_degrees(deg)
+
+
+def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
+    """Edge counts of G_n(y) for every y in an ascending grid, boundary-inclusive.
+
+    At d = 1 the coordinates are sorted once and each y costs one
+    sorted-window pass; no pair is enumerated. At d >= 2 one pass of the
+    column engine at the largest y serves the whole grid: each pair's l-inf
+    distance is binned at the first y at or above it, so a cumulative sum
+    counts at each y exactly the pairs within it.
+    """
+    ys = np.asarray(y_values, dtype=np.float64)
+    if cloud.d == 1:
+        xs = np.sort(cloud.points[:, 0])
+        starts = cloud.n * (cloud.n + 1) // 2  # the forward windows start at 1..n
+        return np.array([sorted_window_ends(xs, y).sum() - starts for y in ys])
+    windows = _last_axis_windows(cloud, ys[-1])
+    if windows is None:
+        return np.zeros(len(ys), dtype=np.int64)
+    span = max(col.max() - col.min() for col in cloud.points.T[:-1])
+    bins = np.zeros(len(ys) + 1, dtype=np.int64)
+    _, cols, pairs = _column_pairs(cloud, ys[-1], span, windows, cloud.d)
+    for left, right in pairs:
+        dist = _pair_distances(cols, left, right)
+        bins += np.bincount(np.searchsorted(ys, dist, "left"), minlength=len(ys) + 1)
+    return np.cumsum(bins[:-1])
 
 
 def edge_density_gap(summary: DegreeSummary, config: RggConfig) -> float:

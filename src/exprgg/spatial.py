@@ -7,19 +7,19 @@ The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 has to scan the 3^d cells around a point. For every d, each cell has one
 int64 key, so one sorted key array and one ``searchsorted`` serve every cell
 lookup. The index matches each occupied cell with its occupied neighbours
-once, at build time; pair and block enumeration read that table, and a
+once, at build time; candidate-pair enumeration reads that table, and a
 single-point query looks its cells up by the key deltas it matched.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
-enumerating a pair, and searches only the windows whose first gap is
-within y. At d = 1 the windows are the degrees. At d >= 2 degree counting
-sorts on the last axis and builds the grid on the other d - 1 axes only, so
-its cells are columns. Candidate pairs are then member positions in column
-order, each paired only with the members of its own and adjacent columns
-inside its last-axis window, expanded from contiguous runs in vectorized
-chunks; the Python-level work is O(3^(d-1)) steps plus one per chunk, not
-O(n) or O(pairs).
+enumerating a pair, and searches only the windows whose first gap is within
+y. At d = 1 the windows are the degrees. At d >= 2 the degree and y-grid
+edge counts sort on the last axis and build the grid on the other d - 1
+axes only, so its cells are columns. Candidate pairs are then member
+positions in column order, each paired only with the members of its own and
+adjacent columns inside its last-axis window, expanded from contiguous runs
+in vectorized chunks; the Python-level work is O(3^(d-1)) steps plus one
+per chunk, not O(n) or O(pairs).
 """
 
 from __future__ import annotations
@@ -125,14 +125,14 @@ class GridIndex:
         return np.where(self._cell_keys[pos] == keys, pos, -1)
 
     def _match_adjacent(self, radix: List[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Matched group arrays (A, B), one pair per lexicographically
-        positive offset in {-1, 0, 1}^d that has any: occupied cell B[j] lies
-        at that offset from cell A[j]. Every unordered pair of adjacent
-        occupied cells appears once. Kept per offset, not concatenated: pair
-        chunks then restart at each offset, which keeps each chunk's left
+        """Matched group arrays (A, B), one pair per lexicographically positive
+        offset in {-1, 0, 1}^d that has any: occupied cell B[j] lies at that
+        offset from cell A[j]. Every unordered pair of adjacent occupied cells
+        appears once. Kept per offset for ``iter_candidate_pairs``, not
+        concatenated: its chunks restart at each offset, which keeps their left
         positions ascending, and packing all offsets into full chunks raised
-        peak memory by half on d = 2 clouds. ``_deltas`` keeps 0 and +-delta
-        of each matched offset, the only key deltas between occupied cells."""
+        peak memory by half on d = 2 clouds. ``_deltas`` keeps 0 and +-delta of
+        each matched offset, the only key deltas between occupied cells."""
         deltas = np.zeros(1, dtype=np.int64)
         for k in range(len(radix)):
             # Axis 0 outermost: every radix is >= 3, so the deltas ascend,
@@ -232,12 +232,10 @@ def iter_candidate_pairs(
         del block
 
 
-def iter_matched_blocks(
-    index: GridIndex,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, bool]]:
+# No caller in the package: kept only because the benchmark tracer patches it.
+def iter_matched_blocks(index: GridIndex) -> Iterator[Tuple[np.ndarray, np.ndarray, bool]]:
     """Member-id blocks (A, B, same_cell) covering every same-or-adjacent cell
-    pair exactly once: one (A, A, True) block per cell, one (A, B, False)
-    block per unordered adjacent cell pair."""
+    pair once: (A, A, True) per cell, (A, B, False) per adjacent cell pair."""
     for g in range(index.n_cells):
         members = index.members(g)
         yield members, members, True

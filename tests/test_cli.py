@@ -85,6 +85,40 @@ def test_theory_golden_output(capsys, argv, out, err):
     assert run_cli(capsys, "theory", *argv) == (0, out, err)
 
 
+# uniform-slln tables, byte for byte: each row's gap is the sup over the
+# y-grid, so a count off by one at the y that attains it moves the gap.
+UNIFORM_HEADER = (
+    "experiment,n,d,lambda,family,param1,param2,replication,seed,y_n,epsilon_n,"
+    "min_degree,max_degree,min_ratio,max_ratio,p_y,gap,contained,has_edge\n"
+)
+UNIFORM_GOLDEN = [
+    (["--d", "2"],
+     "uniform-slln,300,2,1,,,,0,7191089600892374487,,,,,,,,0.02448157012076474,,\n"
+     "uniform-slln,300,2,1,,,,1,309689372594955804,,,,,,,,0.012065923001741197,,\n"
+     "uniform-slln,1200,2,1,,,,0,16616101746815609346,,,,,,,,0.019864140676880637,,\n"
+     "uniform-slln,1200,2,1,,,,1,10753165928301472203,,,,,,,,0.0077966771796577627,,\n"),
+    (["--d", "3"],
+     "uniform-slln,300,3,1,,,,0,7191089600892374487,,,,,,,,0.0061186274157721127,,\n"
+     "uniform-slln,300,3,1,,,,1,309689372594955804,,,,,,,,0.0033719851409136081,,\n"
+     "uniform-slln,1200,3,1,,,,0,16616101746815609346,,,,,,,,0.011945206229092814,,\n"
+     "uniform-slln,1200,3,1,,,,1,10753165928301472203,,,,,,,,0.0032907719783282774,,\n"),
+    (["--d", "2", "--y-grid", "0,0.05,0.5,1"],
+     "uniform-slln,300,2,1,,,,0,7191089600892374487,,,,,,,,0.02448157012076474,,\n"
+     "uniform-slln,300,2,1,,,,1,309689372594955804,,,,,,,,0.010033480046459375,,\n"
+     "uniform-slln,1200,2,1,,,,0,16616101746815609346,,,,,,,,0.019864140676880637,,\n"
+     "uniform-slln,1200,2,1,,,,1,10753165928301472203,,,,,,,,0.0073017003277750236,,\n"),
+]
+
+
+@pytest.mark.parametrize("argv, rows", UNIFORM_GOLDEN, ids=["d2", "d3", "d2-grid-from-0"])
+def test_uniform_slln_golden_table(tmp_path, capsys, argv, rows):
+    out = tmp_path / "u.csv"
+    code, _, _ = run_cli(capsys, "experiment", "uniform-slln", *argv, "--lambda", "1",
+                         "--n", "300,1200", "--reps", "2", "--seed", "7", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (UNIFORM_HEADER + rows).encode()
+
+
 def test_theory_chernoff(capsys):
     code, out, _ = run_cli(
         capsys, "theory", "chernoff-upper", "--n", "10", "--p", "0.1", "--k", "2"
@@ -180,13 +214,13 @@ def test_nan_and_inf_parameters_exit_one(tmp_path, capsys, argv):
     [
         (["graph", "--d", "14", "--y", "0.5"], 13),
         (["graph", "--d", "40", "--y", "0.5"], 39),
-        (["experiment", "uniform-slln", "--d", "13", "--reps", "1", "--out", "OUT"], 13),
+        (["experiment", "uniform-slln", "--d", "14", "--reps", "1", "--out", "OUT"], 13),
     ],
-    ids=["graph-d14", "graph-d40", "uniform-slln-d13"],
+    ids=["graph-d14", "graph-d40", "uniform-slln-d14"],
 )
 def test_grid_over_twelve_axes_refused_before_its_offset_walk(tmp_path, capsys, argv, axes):
-    # The index walks the 3^k offsets of its k axes; degree counts index the
-    # first d - 1 axes, the uniform-slln y-grid all d. Refused at once, not
+    # The index walks the 3^k offsets of its k axes; degree counts and the
+    # uniform-slln y-grid index the first d - 1 axes. Refused at once, not
     # after minutes or ages.
     argv = [str(tmp_path / "x.csv") if a == "OUT" else a for a in argv]
     start = time.perf_counter()

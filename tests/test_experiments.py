@@ -26,8 +26,9 @@ from exprgg.experiments import (
     spec_from_json_file,
     write_manifest,
 )
-from conftest import few_value_cloud, gap_boundary_clouds, tie_and_overflow_clouds
+from conftest import few_value_cloud, gap_boundary_clouds, make_cloud, tie_and_overflow_clouds
 from exprgg.sampling import derive_replication_seed
+from exprgg.spatial import _CANDIDATE_CHUNK
 
 
 def small_spec(kind="degree-law", **overrides):
@@ -97,11 +98,15 @@ def test_rows_are_ordered_and_deterministic():
 
 
 def test_thread_count_does_not_change_results():
-    spec = small_spec(n_list=(80, 160), replications=8)
-    serial = run_experiment(spec, threads=1)
-    threaded = run_experiment(spec, threads=8)
-    assert render_table(serial.rows, "csv") == render_table(threaded.rows, "csv")
-    assert serial.summaries == threaded.summaries
+    uniform = ExperimentSpec(
+        kind="uniform-slln", n_list=(80, 300), d=2, lam=1.0, replications=8,
+        base_seed=42, y_grid=DEFAULT_Y_GRID,
+    )
+    for spec in (small_spec(n_list=(80, 160), replications=8), uniform):
+        serial = run_experiment(spec, threads=1)
+        threaded = run_experiment(spec, threads=8)
+        assert render_table(serial.rows, "csv") == render_table(threaded.rows, "csv")
+        assert serial.summaries == threaded.summaries
 
 
 def test_degree_law_rows_carry_matching_bounds():
@@ -134,7 +139,7 @@ def test_uniform_sup_dominates_every_grid_point():
         base_seed=7, y_grid=grid,
     )
     res = run_experiment(spec)
-    from exprgg.experiments import _edge_counts_multi
+    from exprgg.graphstats import _edge_counts_multi
     from exprgg.theory import pair_connect_prob
 
     for row in res.rows:
@@ -148,12 +153,45 @@ def test_uniform_sup_dominates_every_grid_point():
         assert row.gap == max(gaps)
         assert all(row.gap >= g for g in gaps)
         assert list(counts) == [len(brute_force_edges(cloud, y)) for y in grid]
-    for cloud, ys in tie_and_overflow_clouds() + gap_boundary_clouds():
+    for cloud, ys in tie_and_overflow_clouds() + gap_boundary_clouds() + y_grid_edge_clouds():
         counts = _edge_counts_multi(cloud, np.asarray(ys))
         assert list(counts) == [len(brute_force_edges(cloud, y)) for y in ys], cloud.d
-    cloud, ys, degrees = few_value_cloud()
-    counts = _edge_counts_multi(cloud, np.asarray(ys))
-    assert list(counts) == [int(deg.sum()) // 2 for deg in degrees]
+    for cloud, ys, degrees in (few_value_cloud(), few_value_cloud(d=2, n=2000)):
+        counts = _edge_counts_multi(cloud, np.asarray(ys))
+        assert list(counts) == [int(deg.sum()) // 2 for deg in degrees], cloud.d
+
+
+def y_grid_edge_clouds():
+    """(cloud, ascending y values) at the edges of the d >= 2 y-grid histogram,
+    which bins each pair's distance at the first y at or above it."""
+    rng = np.random.default_rng(12)
+    lattice2 = rng.integers(0, 24, size=(300, 2)) / 8.0
+    lattice4 = rng.integers(0, 8, size=(300, 4)) / 8.0
+    box = rng.random((80, 3))
+    spread = rng.permutation(np.cumsum(1.0 + rng.random(60)))
+    stairs = np.arange(60.0)
+    dense = rng.integers(0, 16, size=(500, 2)) / 8.0
+    cases = [
+        # y = 0 in the grid: coincident lattice points tie there.
+        (make_cloud(lattice2), (0.0, 0.125, 0.25, 0.375)),
+        # Complete at the last y (the box spans less than 1 on every axis),
+        # not at the first.
+        (make_cloud(box), (0.05, 0.5, 1.0)),
+        # Empty at the last y: no last-axis gap within it, and gaps within it
+        # on the last axis with the first axis separating every pair.
+        (make_cloud(np.column_stack([spread] * 2)), (0.0, 0.5)),
+        (make_cloud(np.column_stack((2.0 * stairs, 0.01 * stairs))), (0.5, 1.0)),
+        # d = 4 on the 1/8 lattice, ties on every axis.
+        (make_cloud(lattice4), (0.0, 0.125, 0.25, 0.5)),
+        # Candidate pairs over several chunks, with ties at each y.
+        (make_cloud(dense), (0.0, 0.125, 0.5, 1.0, 2.0)),
+    ]
+    box_cloud = cases[1][0]
+    assert len(brute_force_edges(box_cloud, 0.05)) < len(brute_force_edges(box_cloud, 1.0))
+    assert len(brute_force_edges(box_cloud, 1.0)) == 80 * 79 // 2
+    assert all(len(brute_force_edges(cloud, ys[-1])) == 0 for cloud, ys in cases[2:4])
+    assert len(brute_force_edges(cases[-1][0], 2.0)) > 3 * _CANDIDATE_CHUNK
+    return cases
 
 
 def test_uniform_sup_gap_shrinks_with_n():
