@@ -30,6 +30,7 @@ from .model import (
     RggConfig,
     TheoryBounds,
     _check_dim,
+    _check_int,
     _check_rate,
     _check_seed,
     fmt17,
@@ -72,7 +73,13 @@ class ExperimentSpec:
         kind = EXPERIMENT_KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        n_list = tuple(int(n) for n in self.n_list)
+        try:
+            n_list = tuple(self.n_list)
+        except TypeError:
+            raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}") from None
+        for n in n_list:
+            _check_int(n, "every n in n_list")
+        n_list = tuple(map(int, n_list))  # numpy integers become ints; nothing is truncated
         if not n_list:
             raise ValueError("n_list must be nonempty")
         if any(n < 2 for n in n_list):
@@ -82,6 +89,7 @@ class ExperimentSpec:
         object.__setattr__(self, "n_list", n_list)
         _check_dim(self.d)
         _check_rate(self.lam)
+        _check_int(self.replications, "replications")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         _check_seed(self.base_seed, "base_seed")
@@ -583,18 +591,19 @@ def to_jsonable(obj):
 def from_jsonable(data: dict):
     """Inverse of :func:`to_jsonable` for a domain type. Unknown keys are
     ignored, and each type's constructor normalises and validates the values.
-    Malformed input raises ValueError that names the missing field or the
-    wrong type."""
+    A derived (init=False) field may be left out; a supplied one must equal
+    the value the constructor derives. Malformed input raises ValueError that
+    names the missing, inconsistent or wrong-typed field."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     cls = _JSON_TYPES.get(data.get("type"))
     if cls is None:
         raise ValueError(f"cannot decode object of type {data.get('type')!r}")
-    kwargs = {}
+    kwargs, derived = {}, {}
     for f in fields(cls):
         name = _WIRE_NAMES.get(f.name, f.name)
         if name not in data:
-            if f.default is MISSING:
+            if f.init and f.default is MISSING:
                 raise ValueError(f"{cls.__name__} object is missing field {name!r}")
             continue
         value = data[name]
@@ -602,8 +611,15 @@ def from_jsonable(data: dict):
             value = from_jsonable(value)
         elif isinstance(value, str) and f.type not in ("str", str):
             value = float(value)  # the string form of a non-finite float
-        kwargs[f.name] = value
-    return cls(**kwargs)
+        (kwargs if f.init else derived)[f.name] = value
+    obj = cls(**kwargs)
+    for key, value in derived.items():
+        if value != getattr(obj, key):
+            raise ValueError(
+                f"{cls.__name__} field {key!r} is {value!r} but its inputs give "
+                f"{getattr(obj, key)!r}"
+            )
+    return obj
 
 
 def manifest_path_for(output_path: str) -> str:

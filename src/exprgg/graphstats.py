@@ -81,10 +81,10 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     if np.all(span <= y):
         # Complete graph: subtraction is monotone in each operand, so every
         # pair's computed distance is at most the computed span.
-        return DegreeSummary.from_degrees(np.full(n, n - 1, dtype=np.int64))
+        return DegreeSummary(np.full(n, n - 1, dtype=np.int64))
     windows = _last_axis_windows(cloud, y)
     if windows is None:
-        return DegreeSummary.from_degrees(np.zeros(n, dtype=np.int64))
+        return DegreeSummary(np.zeros(n, dtype=np.int64))
     order, starts, ends = windows
     if cloud.d == 1:
         ends -= starts
@@ -103,7 +103,7 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
                 tally[lo:lo + len(counts)] += counts
     deg = np.empty(n, dtype=np.int64)
     deg[order[members]] = tally
-    return DegreeSummary.from_degrees(deg)
+    return DegreeSummary(deg)
 
 
 def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Domain types shared by every module: point clouds, graph configs,
 degree summaries, edge-distance families and theoretical degree bounds.
 
-All types are immutable after construction and validate their invariants
-eagerly, so an instance in hand is always well formed.
+All types are immutable after construction. Each stores only its inputs,
+derives what it can from them and validates the rest eagerly, so an
+instance in hand is always well formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -21,9 +22,14 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_int(value: int, what: str) -> None:
+    """Refuses bools and every non-integer, floats with integral values too."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_seed(seed: int, what: str = "seed") -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"{what} must be an integer, got {seed!r}")
+    _check_int(seed, what)
     if not 0 <= int(seed) <= U64_MAX:
         raise ValueError(f"{what} must fit in an unsigned 64-bit word, got {seed}")
 
@@ -34,6 +40,7 @@ def _check_rate(lam: float) -> None:
 
 
 def _check_dim(d: int) -> None:
+    _check_int(d, "d")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
 
@@ -118,47 +125,33 @@ class RggConfig:
 
 @dataclass(frozen=True, eq=False)
 class DegreeSummary:
-    """Per-vertex degrees of one graph plus the derived edge count and extremes.
+    """Per-vertex degrees of one graph; the edge count and the degree extremes
+    are derived from them on construction.
 
-    Invariants enforced: the handshake identity sum(degrees) == 2 * epsilon_n,
-    min/max consistency, 0 <= degree <= n - 1, and 2 * epsilon_n <= n * max_degree.
+    Invariants enforced: a nonempty 1-d sequence, 0 <= degree <= n - 1, and an
+    even degree sum, which the handshake identity sum(degrees) == 2 * epsilon_n
+    requires.
     """
 
     degrees: np.ndarray
-    epsilon_n: int
-    min_degree: int
-    max_degree: int
+    epsilon_n: int = field(init=False)
+    min_degree: int = field(init=False)
+    max_degree: int = field(init=False)
 
     def __post_init__(self) -> None:
         deg = np.asarray(self.degrees, dtype=np.int64)
         if deg.ndim != 1 or deg.shape[0] < 1:
             raise ValueError("degrees must be a nonempty 1-d integer sequence")
-        n = deg.shape[0]
-        if np.any(deg < 0) or np.any(deg > n - 1):
+        lo, hi, total = int(deg.min()), int(deg.max()), int(deg.sum())
+        if lo < 0 or hi > deg.shape[0] - 1:
             raise ValueError("every degree must lie in [0, n-1]")
-        total = int(deg.sum())
-        if total != 2 * self.epsilon_n:
-            raise ValueError(
-                f"handshake violation: sum(degrees)={total} != 2*epsilon_n={2 * self.epsilon_n}"
-            )
-        if self.min_degree != int(deg.min()) or self.max_degree != int(deg.max()):
-            raise ValueError("min_degree/max_degree do not match the degree sequence")
-        if 2 * self.epsilon_n > n * self.max_degree:
-            raise ValueError("edge count violates 2*epsilon_n <= n*max_degree")
+        if total % 2:
+            raise ValueError(f"handshake violation: sum(degrees)={total} is odd")
         deg.setflags(write=False)
         object.__setattr__(self, "degrees", deg)
-
-    @classmethod
-    def from_degrees(cls, degrees: np.ndarray) -> "DegreeSummary":
-        deg = np.asarray(degrees, dtype=np.int64)
-        total = int(deg.sum())
-        assert total % 2 == 0, "degree sum must be even"
-        return cls(
-            degrees=deg,
-            epsilon_n=total // 2,
-            min_degree=int(deg.min()),
-            max_degree=int(deg.max()),
-        )
+        object.__setattr__(self, "epsilon_n", total // 2)
+        object.__setattr__(self, "min_degree", lo)
+        object.__setattr__(self, "max_degree", hi)
 
     @property
     def n(self) -> int:
@@ -167,12 +160,7 @@ class DegreeSummary:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreeSummary):
             return NotImplemented
-        return (
-            self.epsilon_n == other.epsilon_n
-            and self.min_degree == other.min_degree
-            and self.max_degree == other.max_degree
-            and np.array_equal(self.degrees, other.degrees)
-        )
+        return np.array_equal(self.degrees, other.degrees)
 
 
 @dataclass(frozen=True)
@@ -224,14 +212,15 @@ class TheoryBounds:
     ``a_min`` is the root in [0, 1) scaling the min-degree liminf bound and
     ``a_max`` the root in [1, inf) scaling the max-degree limsup bound; both
     solve a*log(a) - a + 1 = 1/(lam^d * c). When lam^d * c <= 1 the equation
-    has no root below 1 and ``a_min`` degenerates to 0 with
-    ``a_min_has_root`` False (the liminf bound is then vacuous).
+    has no root below 1 and ``a_min`` degenerates to 0 (the liminf bound is
+    then vacuous); a root is never below 1e-15, so ``a_min_has_root`` is
+    derived as ``a_min > 0``.
     """
 
     lambda_pow_d: float
     a_min: float
     a_max: float
-    a_min_has_root: bool = True
+    a_min_has_root: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.lambda_pow_d > 0.0:
@@ -240,8 +229,7 @@ class TheoryBounds:
             raise ValueError(f"a_min must lie in [0, 1], got {self.a_min}")
         if not self.a_max >= 1.0:
             raise ValueError(f"a_max must lie in [1, inf), got {self.a_max}")
-        if not self.a_min_has_root and self.a_min != 0.0:
-            raise ValueError("a_min must be 0 when flagged as having no root")
+        object.__setattr__(self, "a_min_has_root", bool(self.a_min > 0.0))
 
     @property
     def min_liminf_bound(self) -> float:

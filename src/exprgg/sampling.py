@@ -134,6 +134,9 @@ def read_cloud(source: Union[str, IO[str], Iterable[str]]) -> PointCloud:
     fields = dict(
         item.split("=", 1) for item in lines[0][len(CLOUD_HEADER_PREFIX):].split()
     )
+    for key in ("n", "d", "lambda", "seed"):
+        if key not in fields:
+            raise ValueError(f"cloud dump header is missing field {key!r}")
     n, d = int(fields["n"]), int(fields["d"])
     lam, seed = float(fields["lambda"]), int(fields["seed"])
     body = [ln for ln in lines[1:] if ln.strip()]

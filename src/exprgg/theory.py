@@ -151,8 +151,9 @@ def a_min(c: float, lam: float, d: int) -> Tuple[float, bool]:
     """The root in (0, 1) of a*log(a) - a + 1 = 1/(lam^d * c), scaling the
     min-degree liminf bound.
 
-    Returns (root, True) when lam^d * c > 1; otherwise the equation has no
-    root below 1 and (0.0, False) is returned, a degenerate-but-usable bound.
+    Returns (root, True) when lam^d * c > 1, the root never below 1e-15;
+    otherwise the equation has no root below 1 and (0.0, False) is returned,
+    a degenerate-but-usable bound.
     c = inf gives (1.0, True).
     """
     r = _root_target(c, lam, d)
@@ -223,9 +224,7 @@ def theory_bounds(c: float, lam: float, d: int) -> TheoryBounds:
             raise ArithmeticError("a_min residual exceeds tolerance")
         if abs(_root_equation(hi_root) - r) > ROOT_RESIDUAL_TOL:
             raise ArithmeticError("a_max residual exceeds tolerance")
-    return TheoryBounds(
-        lambda_pow_d=lam_d, a_min=lo_root, a_max=hi_root, a_min_has_root=has_root
-    )
+    return TheoryBounds(lambda_pow_d=lam_d, a_min=lo_root, a_max=hi_root)
 
 
 def series_classifier(family: EdgeDistanceFamily) -> str:

@@ -275,7 +275,7 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     # The complete graph, which none of these cases' graphs is.
     monkeypatch.setattr(
         cli, "degree_summary",
-        lambda cloud, y: DegreeSummary.from_degrees(np.full(cloud.n, cloud.n - 1)),
+        lambda cloud, y: DegreeSummary(np.full(cloud.n, cloud.n - 1)),
     )
     code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
     assert code == 3
@@ -443,6 +443,11 @@ def test_experiment_degree_law_refuses_overflowing_finite_c(tmp_path, capsys, mo
     assert code == 0 and out.exists()
 
 
+_DEGREE_LAW_SPEC = {"type": "ExperimentSpec", "kind": "degree-law", "n_list": [100], "d": 1,
+                    "lambda": 1, "replications": 1, "base_seed": 1,
+                    "family": {"type": "LogRegime", "c": 4, "lambda": 1, "d": 1}}
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -457,8 +462,16 @@ def test_experiment_degree_law_refuses_overflowing_finite_c(tmp_path, capsys, mo
           "lambda": 1.0, "replications": 1, "base_seed": 1,
           "family": {"type": "Regime", "c": 4, "lambda": 1.0, "d": 1}},
          "cannot decode object of type 'Regime'"),
+        ({**_DEGREE_LAW_SPEC, "n_list": [100.7]},
+         "every n in n_list must be an integer, got 100.7"),
+        ({**_DEGREE_LAW_SPEC, "n_list": "123"}, "n_list must be a list of integers"),
+        ({**_DEGREE_LAW_SPEC, "replications": True}, "replications must be an integer, got True"),
+        ({**_DEGREE_LAW_SPEC, "replications": 1.5}, "replications must be an integer, got 1.5"),
+        ({**_DEGREE_LAW_SPEC, "d": 2.0, "family": {**_DEGREE_LAW_SPEC["family"], "d": 2}},
+         "d must be an integer, got 2.0"),
     ],
-    ids=["no-kind", "spec-not-object", "top-level-list", "family-no-c", "family-unknown-type"],
+    ids=["no-kind", "spec-not-object", "top-level-list", "family-no-c", "family-unknown-type",
+         "n-list-float", "n-list-string", "reps-bool", "reps-float", "d-float"],
 )
 def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
@@ -469,7 +482,9 @@ def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     )
     assert code == 1
     assert "Traceback" not in err
-    assert message in err
+    (line,) = err.splitlines()
+    assert message in line
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_unwritable_path_exits_two(capsys):

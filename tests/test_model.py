@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from exprgg import (
     RggConfig,
     TheoryBounds,
     from_jsonable,
+    theory_bounds,
     to_jsonable,
 )
 from exprgg.experiments import ExperimentSpec
@@ -63,7 +65,7 @@ def test_rgg_config_validation():
 
 
 def test_degree_summary_invariants():
-    summ = DegreeSummary.from_degrees([1, 2, 1])
+    summ = DegreeSummary([1, 2, 1])
     assert summ.epsilon_n == 2
     assert summ.min_degree == 1
     assert summ.max_degree == 2
@@ -73,16 +75,16 @@ def test_degree_summary_invariants():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(degrees=[1, 2, 1], epsilon_n=3, min_degree=1, max_degree=2),  # handshake
-        dict(degrees=[1, 2, 1], epsilon_n=2, min_degree=0, max_degree=2),  # wrong min
-        dict(degrees=[1, 2, 1], epsilon_n=2, min_degree=1, max_degree=3),  # wrong max
-        dict(degrees=[3, 1, 0], epsilon_n=2, min_degree=0, max_degree=3),  # deg > n-1
-        dict(degrees=[-1, 1, 0], epsilon_n=0, min_degree=-1, max_degree=1),  # negative
+        dict(degrees=[3, 1, 0]),  # deg > n-1
+        dict(degrees=[-1, 1, 0]),  # negative
+        dict(degrees=[1, 1, 1]),  # odd degree sum
+        dict(degrees=[]),  # empty
+        dict(degrees=[[1, 1], [1, 1]]),  # 2-d
     ],
 )
 def test_degree_summary_rejects(kwargs):
     with pytest.raises(ValueError):
-        DegreeSummary(**{k: np.asarray(v) if k == "degrees" else v for k, v in kwargs.items()})
+        DegreeSummary(np.asarray(kwargs["degrees"]))
 
 
 def test_log_regime_identity():
@@ -122,8 +124,8 @@ def test_theory_bounds_fields():
         TheoryBounds(lambda_pow_d=1.0, a_min=1.2, a_max=1.5)
     with pytest.raises(ValueError):
         TheoryBounds(lambda_pow_d=1.0, a_min=0.9, a_max=0.5)
-    with pytest.raises(ValueError):
-        TheoryBounds(lambda_pow_d=1.0, a_min=0.3, a_max=1.5, a_min_has_root=False)
+    assert tb.a_min_has_root
+    assert not TheoryBounds(lambda_pow_d=1.0, a_min=0.0, a_max=1.5).a_min_has_root
 
 
 @pytest.mark.parametrize(
@@ -131,11 +133,11 @@ def test_theory_bounds_fields():
     [
         PointCloud(d=2, points=[[0.0, 1.25], [2.5, 1e-17]], seed=9, lam=0.75),
         RggConfig(n=5, d=3, lam=2.0, y=0.125, seed=2**63),
-        DegreeSummary.from_degrees([2, 2, 1, 1]),
+        DegreeSummary([2, 2, 1, 1]),
         LogRegime(c=4.0, lam=1.0, d=1),
         LogRegime(c=math.inf, lam=2.0, d=3),
         PowerFamily(alpha=1.0, beta=3.0, lam=1.0, d=2),
-        TheoryBounds(lambda_pow_d=1.0, a_min=0.0, a_max=math.e, a_min_has_root=False),
+        TheoryBounds(lambda_pow_d=1.0, a_min=0.0, a_max=math.e),
         ExperimentSpec(
             kind="degree-law",
             n_list=(100, 200),
@@ -165,11 +167,52 @@ def test_theory_bounds_fields():
     ],
 )
 def test_json_round_trip_exact(obj):
-    import json
-
     data = to_jsonable(obj)
     if type(getattr(obj, "lam", None)) is int:
         # a spec file's integer lambda is written back as it was read
         assert type(data["lambda"]) is int and type(data["family"]["lambda"]) is int
     dumped = json.dumps(data, allow_nan=False)
     assert from_jsonable(json.loads(dumped)) == obj
+
+
+# The JSON form of each type with derived fields, as written before those
+# fields were derived: the derived values sit in declaration order.
+@pytest.mark.parametrize(
+    "obj, golden",
+    [
+        (DegreeSummary([2, 2, 1, 1]),
+         '{"type": "DegreeSummary", "degrees": [2, 2, 1, 1], "epsilon_n": 3, '
+         '"min_degree": 1, "max_degree": 2}'),
+        (theory_bounds(4.0, 1.0, 1),
+         '{"type": "TheoryBounds", "lambda_pow_d": 1.0, "a_min": 0.38240356960216004, '
+         '"a_max": 1.7862731298795125, "a_min_has_root": true}'),
+        (theory_bounds(1.0, 1.0, 1),
+         '{"type": "TheoryBounds", "lambda_pow_d": 1.0, "a_min": 0.0, '
+         '"a_max": 2.7182818284590455, "a_min_has_root": false}'),
+    ],
+    ids=["degree-summary", "bounds-root", "bounds-no-root"],
+)
+def test_json_form_of_derived_fields(obj, golden):
+    assert json.dumps(to_jsonable(obj)) == golden
+    data = json.loads(golden)
+    assert from_jsonable(data) == obj
+    # The derived keys may be left out ...
+    inputs = {k: v for k, v in data.items()
+              if k not in ("epsilon_n", "min_degree", "max_degree", "a_min_has_root")}
+    assert from_jsonable(inputs) == obj
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"type": "DegreeSummary", "degrees": [2, 2, 1, 1], "epsilon_n": 4}, "epsilon_n"),
+        ({"type": "DegreeSummary", "degrees": [2, 2, 1, 1], "max_degree": 3}, "max_degree"),
+        ({"type": "TheoryBounds", "lambda_pow_d": 1.0, "a_min": 0.0, "a_max": 2.5,
+          "a_min_has_root": True}, "a_min_has_root"),
+    ],
+    ids=["epsilon-n", "max-degree", "a-min-has-root"],
+)
+def test_json_refuses_inconsistent_derived_field(data, field):
+    # ... but a supplied one must agree with the inputs.
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        from_jsonable(data)

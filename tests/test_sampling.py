@@ -159,3 +159,5 @@ def test_cloud_dump_rejects_garbage(tmp_path):
     path.write_text("not a header\n0.5\n")
     with pytest.raises(ValueError):
         read_cloud(str(path))
+    with pytest.raises(ValueError, match="missing field 'lambda'"):
+        read_cloud(io.StringIO("# exprgg-cloud v1 n=1 d=1 seed=3\n0.5\n"))
