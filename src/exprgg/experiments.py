@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -73,10 +74,9 @@ class ExperimentSpec:
         kind = EXPERIMENT_KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        try:
-            n_list = tuple(self.n_list)
-        except TypeError:
-            raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}") from None
+        if not isinstance(self.n_list, (list, tuple, np.ndarray)):
+            raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}")
+        n_list = tuple(self.n_list)
         for n in n_list:
             _check_int(n, "every n in n_list")
         n_list = tuple(map(int, n_list))  # numpy integers become ints; nothing is truncated
@@ -120,7 +120,12 @@ class ExperimentSpec:
                         f"n * y_n^d = {scale}"
                     )
         if kind.y_grid:
-            grid = tuple(float(y) for y in (self.y_grid or ()))
+            grid = () if self.y_grid is None else self.y_grid
+            if not isinstance(grid, (list, tuple, np.ndarray)) or not all(
+                isinstance(y, numbers.Real) and not isinstance(y, bool) for y in grid
+            ):
+                raise ValueError(f"y_grid must be a list of numbers, got {self.y_grid!r}")
+            grid = tuple(map(float, grid))
             if not grid:
                 raise ValueError(f"{self.kind} requires a nonempty y_grid")
             if any(not 0.0 <= y <= 1.0 for y in grid):
@@ -502,7 +507,8 @@ def emit(table: Sequence[ResultRow], fmt: str, destination: Union[str, IO[str]])
 
 
 def _scalar_type(hint) -> type:
-    """int, float, bool or str: the type a row field holds when not None."""
+    """The type a field holds when not None: a table row's int, float, bool
+    or str, or any other type hint, taken whole."""
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
 
 
@@ -592,14 +598,15 @@ def from_jsonable(data: dict):
     """Inverse of :func:`to_jsonable` for a domain type. Unknown keys are
     ignored, and each type's constructor normalises and validates the values.
     A derived (init=False) field may be left out; a supplied one must equal
-    the value the constructor derives. Malformed input raises ValueError that
-    names the missing, inconsistent or wrong-typed field."""
+    the value the constructor derives. A string becomes a float only in a
+    float field. Malformed input raises ValueError that names the missing,
+    inconsistent or wrong-typed field."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     cls = _JSON_TYPES.get(data.get("type"))
     if cls is None:
         raise ValueError(f"cannot decode object of type {data.get('type')!r}")
-    kwargs, derived = {}, {}
+    kwargs, derived, hints = {}, {}, get_type_hints(cls)
     for f in fields(cls):
         name = _WIRE_NAMES.get(f.name, f.name)
         if name not in data:
@@ -609,8 +616,13 @@ def from_jsonable(data: dict):
         value = data[name]
         if isinstance(value, dict):
             value = from_jsonable(value)
-        elif isinstance(value, str) and f.type not in ("str", str):
-            value = float(value)  # the string form of a non-finite float
+        elif isinstance(value, str) and _scalar_type(hints[f.name]) is float:
+            try:
+                value = float(value)  # the string form of a non-finite float
+            except ValueError:
+                raise ValueError(
+                    f"{cls.__name__} field {name!r} must be a number, got {value!r}"
+                ) from None
         (kwargs if f.init else derived)[f.name] = value
     obj = cls(**kwargs)
     for key, value in derived.items():

@@ -58,6 +58,11 @@ def _pair_distances(cols: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return dist
 
 
+def _summary(degrees: np.ndarray) -> DegreeSummary:
+    degrees.setflags(write=False)  # so DegreeSummary takes it without a copy
+    return DegreeSummary(degrees)
+
+
 def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     """Degrees, edge count and degree extremes of the graph G_n(y) on ``cloud``.
 
@@ -81,10 +86,10 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     if np.all(span <= y):
         # Complete graph: subtraction is monotone in each operand, so every
         # pair's computed distance is at most the computed span.
-        return DegreeSummary(np.full(n, n - 1, dtype=np.int64))
+        return _summary(np.full(n, n - 1, dtype=np.int64))
     windows = _last_axis_windows(cloud, y)
     if windows is None:
-        return DegreeSummary(np.zeros(n, dtype=np.int64))
+        return _summary(np.zeros(n, dtype=np.int64))
     order, starts, ends = windows
     if cloud.d == 1:
         ends -= starts
@@ -103,7 +108,7 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
                 tally[lo:lo + len(counts)] += counts
     deg = np.empty(n, dtype=np.int64)
     deg[order[members]] = tally
-    return DegreeSummary(deg)
+    return _summary(deg)
 
 
 def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:

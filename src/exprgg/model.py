@@ -71,7 +71,8 @@ class PointCloud:
             raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("a point cloud needs at least one point")
-        if self.d < 1 or pts.shape[1] != self.d:
+        _check_dim(self.d)
+        if pts.shape[1] != self.d:
             raise ValueError(
                 f"dimension mismatch: d={self.d} but points have {pts.shape[1]} coordinates"
             )
@@ -126,7 +127,8 @@ class RggConfig:
 @dataclass(frozen=True, eq=False)
 class DegreeSummary:
     """Per-vertex degrees of one graph; the edge count and the degree extremes
-    are derived from them on construction.
+    are derived from them on construction. ``degrees`` is a frozen int64 array;
+    a writeable caller array is copied first.
 
     Invariants enforced: a nonempty 1-d sequence, 0 <= degree <= n - 1, and an
     even degree sum, which the handshake identity sum(degrees) == 2 * epsilon_n
@@ -147,6 +149,8 @@ class DegreeSummary:
             raise ValueError("every degree must lie in [0, n-1]")
         if total % 2:
             raise ValueError(f"handshake violation: sum(degrees)={total} is odd")
+        if deg is self.degrees and deg.flags.writeable:
+            deg = deg.copy()  # never freeze an array the caller still owns
         deg.setflags(write=False)
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "epsilon_n", total // 2)

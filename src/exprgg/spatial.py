@@ -6,9 +6,10 @@ The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 (IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
 has to scan the 3^d cells around a point. For every d, each cell has one
 int64 key, so one sorted key array and one ``searchsorted`` serve every cell
-lookup. The index matches each occupied cell with its occupied neighbours
-once, at build time; candidate-pair enumeration reads that table, and a
-single-point query looks its cells up by the key deltas it matched.
+lookup. The index stores only its cells. One walk matches the occupied cells
+offset by offset when a consumer needs them: pair enumeration one offset at a
+time, and a single-point query once, on its first call, keeping the key
+deltas it matched.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
@@ -24,6 +25,7 @@ per chunk, not O(n) or O(pairs).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, List, Set, Tuple
 
@@ -33,7 +35,7 @@ from .model import PointCloud, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
-_MAX_AXES = 12  # the build walks 3^k cell offsets in Python; 3^12 takes seconds
+_MAX_AXES = 12  # a walk visits 3^k cell offsets in Python; 3^12 takes seconds
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
 
@@ -81,7 +83,10 @@ class GridIndex:
     requested width unless the keys would overflow int64; then it is the
     coarser width actually used (see ``_fit_cells``).
 
-    Immutable once built; queries are read-only and safe to run concurrently.
+    It stores its cells and the key delta of each neighbour offset, and keeps
+    no result of a walk but one: the first point query finds the matched
+    offsets and keeps them. Queries are safe to run concurrently; two first
+    queries that race both write the same value.
     """
 
     def __init__(self, cloud: PointCloud, cell_size: float):
@@ -103,7 +108,12 @@ class GridIndex:
         self._starts = np.concatenate((boundaries, [len(order)]))
         self._cell_keys = sorted_keys[boundaries]  # ascending
         self._vertex_keys = keys
-        self._adjacent = self._match_adjacent(radix)
+        offsets = np.zeros(1, dtype=np.int64)
+        for k in range(cloud.d):
+            # Axis 0 outermost: every radix is >= 3, so the deltas ascend, offset
+            # 0 is the middle one, and the lexicographically positive follow it.
+            offsets = (offsets[:, None] + np.array([-1, 0, 1]) * math.prod(radix[k + 1:])).ravel()
+        self._offset_keys = offsets
 
     @property
     def n_cells(self) -> int:
@@ -124,35 +134,33 @@ class GridIndex:
         pos = np.minimum(np.searchsorted(self._cell_keys, keys), self.n_cells - 1)
         return np.where(self._cell_keys[pos] == keys, pos, -1)
 
-    def _match_adjacent(self, radix: List[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Matched group arrays (A, B), one pair per lexicographically positive
-        offset in {-1, 0, 1}^d that has any: occupied cell B[j] lies at that
-        offset from cell A[j]. Every unordered pair of adjacent occupied cells
-        appears once. Kept per offset for ``iter_candidate_pairs``, not
-        concatenated: its chunks restart at each offset, which keeps their left
-        positions ascending, and packing all offsets into full chunks raised
-        peak memory by half on d = 2 clouds. ``_deltas`` keeps 0 and +-delta of
-        each matched offset, the only key deltas between occupied cells."""
-        deltas = np.zeros(1, dtype=np.int64)
-        for k in range(len(radix)):
-            # Axis 0 outermost: every radix is >= 3, so the deltas ascend,
-            # and the upper half holds the lexicographically positive offsets.
-            deltas = (deltas[:, None] + np.array([-1, 0, 1]) * math.prod(radix[k + 1:])).ravel()
-        groups = np.arange(self.n_cells, dtype=np.int64)
-        matched, found = [], []
-        for delta in deltas[len(deltas) // 2 + 1:]:
-            neighbor = self._groups_of(self._cell_keys + delta)
-            present = neighbor >= 0
-            if np.any(present):
-                matched.append((groups[present], neighbor[present]))
-                found.append(delta)
-        self._deltas = np.array([0] + found + [-f for f in found], dtype=np.int64)
-        return matched
+    @functools.cached_property
+    def _matched_offsets(self) -> np.ndarray:
+        """0 and +-delta of each offset ``_blocks`` matches: the only key
+        deltas between occupied cells."""
+        found = np.array([delta for delta, _, _ in _blocks(self)], dtype=np.int64)
+        return np.concatenate((found, -found[1:]))
 
 
 def build_grid_index(cloud: PointCloud, cell_size: float) -> GridIndex:
     """Index ``cloud`` with the given cell size (O(n log n) construction)."""
     return GridIndex(cloud, cell_size)
+
+
+def _blocks(index: GridIndex) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Matched groups (delta, A, B) at offset 0, then at each lexicographically
+    positive offset in {-1, 0, 1}^d that has any: occupied cell B[j] lies at
+    key delta ``delta`` from cell A[j], so every unordered pair of same or
+    adjacent occupied cells appears once. Yielded per offset: the pair chunks
+    restart at each, which keeps their left positions ascending, and packing
+    all offsets into full chunks raised peak memory by half on d = 2 clouds."""
+    deltas = index._offset_keys
+    groups = np.arange(index.n_cells, dtype=np.int64)
+    for delta in deltas[len(deltas) // 2:]:
+        neighbor = index._groups_of(index._cell_keys + delta)
+        present = neighbor >= 0
+        if present.any():  # the method: np.any's dispatch costs a fifth of the walk
+            yield int(delta), groups[present], neighbor[present]
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -197,11 +205,11 @@ def iter_candidate_pairs(
 
     Within a chunk, left ascends and every right exceeds its left, so a
     chunk's positions all lie at or after its first left. A chunk holds at
-    most ``max(chunk, largest cell)`` pairs and never mixes two blocks: the
-    same-cell block pairs each position with the later members of its cell
-    below its window end, and one block per adjacent offset pairs each
-    position with the members of the cell at that offset inside its window,
-    whose key, and so whose positions, are larger.
+    most ``max(chunk, largest cell)`` pairs and never mixes the blocks of two
+    offsets: offset 0 pairs each position with the later members of its own
+    cell below its window end, and every other offset pairs each position
+    with the members of the cell at that offset inside its window, whose key,
+    and so whose positions, are larger.
 
     This is a superset of the pairs at l-inf distance <= cell_size on the
     indexed axes; callers filter by actual distance.
@@ -210,24 +218,17 @@ def iter_candidate_pairs(
     n = len(ranks)
     bounds = index._starts
     counts = np.diff(bounds)
-    cell_base = np.repeat(np.arange(index.n_cells, dtype=np.int64) * n, counts)
-    keyed = cell_base + ranks
-    pos = np.arange(n, dtype=np.int64)
-    after = np.searchsorted(keyed, cell_base + ends[ranks]) - pos - 1
-    has = after > 0
-    same_cell = (pos[has], pos[has] + 1, after[has])
-    del cell_base, pos, after, has  # a suspended generator keeps its locals
-    yield from _run_pairs(*same_cell, chunk)
-    del same_cell
-    for groups_a, groups_b in index._adjacent:
+    keyed = np.repeat(np.arange(index.n_cells, dtype=np.int64) * n, counts) + ranks
+    for delta, groups_a, groups_b in _blocks(index):
         reps = counts[groups_a]
         left = _ranges(bounds[groups_a], reps)
         cell_base = np.repeat(groups_b * n, reps)
-        lo = np.searchsorted(keyed, cell_base + starts[ranks[left]])
+        # Offset 0 is the same cell: a position pairs with the members after it.
+        lo = left + 1 if delta == 0 else np.searchsorted(keyed, cell_base + starts[ranks[left]])
         lens = np.searchsorted(keyed, cell_base + ends[ranks[left]]) - lo
         has = lens > 0
         block = (left[has], lo[has], lens[has])
-        del reps, left, cell_base, lo, lens, has
+        del reps, left, cell_base, lo, lens, has  # a suspended generator keeps its locals
         yield from _run_pairs(*block, chunk)
         del block
 
@@ -236,12 +237,9 @@ def iter_candidate_pairs(
 def iter_matched_blocks(index: GridIndex) -> Iterator[Tuple[np.ndarray, np.ndarray, bool]]:
     """Member-id blocks (A, B, same_cell) covering every same-or-adjacent cell
     pair once: (A, A, True) per cell, (A, B, False) per adjacent cell pair."""
-    for g in range(index.n_cells):
-        members = index.members(g)
-        yield members, members, True
-    for groups_a, groups_b in index._adjacent:
+    for delta, groups_a, groups_b in _blocks(index):
         for g, h in zip(groups_a, groups_b):
-            yield index.members(g), index.members(h), False
+            yield index.members(g), index.members(h), delta == 0
 
 
 def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
@@ -257,7 +255,7 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
         raise ValueError(
             f"y={y} exceeds cell_size={index.cell_size}; rebuild the index"
         )
-    groups = index._groups_of(index._vertex_keys[i] + index._deltas)
+    groups = index._groups_of(index._vertex_keys[i] + index._matched_offsets)
     cand = np.concatenate([index.members(g) for g in groups[groups >= 0]])
     near = np.abs(index.cloud.points[cand] - index.cloud.points[i]) <= y
     # Rows of a contiguous (d, k) copy reduce several times faster than (k, d).

@@ -107,10 +107,16 @@ UNIFORM_GOLDEN = [
      "uniform-slln,300,2,1,,,,1,309689372594955804,,,,,,,,0.010033480046459375,,\n"
      "uniform-slln,1200,2,1,,,,0,16616101746815609346,,,,,,,,0.019864140676880637,,\n"
      "uniform-slln,1200,2,1,,,,1,10753165928301472203,,,,,,,,0.0073017003277750236,,\n"),
+    # 13 upper offsets in the 3-axis column grid: blocks well past offsets 0 and +1.
+    (["--d", "4"],
+     "uniform-slln,300,4,1,,,,0,7191089600892374487,,,,,,,,0.0016580921207855551,,\n"
+     "uniform-slln,300,4,1,,,,1,309689372594955804,,,,,,,,0.0033041402055594415,,\n"
+     "uniform-slln,1200,4,1,,,,0,16616101746815609346,,,,,,,,0.0027541553082605919,,\n"
+     "uniform-slln,1200,4,1,,,,1,10753165928301472203,,,,,,,,0.0042679167761505155,,\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, rows", UNIFORM_GOLDEN, ids=["d2", "d3", "d2-grid-from-0"])
+@pytest.mark.parametrize("argv, rows", UNIFORM_GOLDEN, ids=["d2", "d3", "d2-grid-from-0", "d4"])
 def test_uniform_slln_golden_table(tmp_path, capsys, argv, rows):
     out = tmp_path / "u.csv"
     code, _, _ = run_cli(capsys, "experiment", "uniform-slln", *argv, "--lambda", "1",
@@ -446,6 +452,8 @@ def test_experiment_degree_law_refuses_overflowing_finite_c(tmp_path, capsys, mo
 _DEGREE_LAW_SPEC = {"type": "ExperimentSpec", "kind": "degree-law", "n_list": [100], "d": 1,
                     "lambda": 1, "replications": 1, "base_seed": 1,
                     "family": {"type": "LogRegime", "c": 4, "lambda": 1, "d": 1}}
+_UNIFORM_SPEC = {"type": "ExperimentSpec", "kind": "uniform-slln", "n_list": [100], "d": 2,
+                 "lambda": 1, "replications": 1, "base_seed": 1, "y_grid": [0.5]}
 
 
 @pytest.mark.parametrize(
@@ -469,15 +477,20 @@ _DEGREE_LAW_SPEC = {"type": "ExperimentSpec", "kind": "degree-law", "n_list": [1
         ({**_DEGREE_LAW_SPEC, "replications": 1.5}, "replications must be an integer, got 1.5"),
         ({**_DEGREE_LAW_SPEC, "d": 2.0, "family": {**_DEGREE_LAW_SPEC["family"], "d": 2}},
          "d must be an integer, got 2.0"),
+        ({**_UNIFORM_SPEC, "y_grid": "0.5"}, "y_grid must be a list of numbers, got '0.5'"),
+        ({**_DEGREE_LAW_SPEC, "base_seed": "abc"}, "base_seed must be an integer, got 'abc'"),
+        ({**_DEGREE_LAW_SPEC, "lambda": "abc"}, "field 'lambda' must be a number, got 'abc'"),
     ],
     ids=["no-kind", "spec-not-object", "top-level-list", "family-no-c", "family-unknown-type",
-         "n-list-float", "n-list-string", "reps-bool", "reps-float", "d-float"],
+         "n-list-float", "n-list-string", "reps-bool", "reps-float", "d-float",
+         "y-grid-string", "seed-string", "lambda-string"],
 )
 def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    kind = spec.get("kind", "degree-law") if isinstance(spec, dict) else "degree-law"
     code, _, err = run_cli(
-        capsys, "experiment", "degree-law", "--spec", str(path),
+        capsys, "experiment", kind, "--spec", str(path),
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 1

@@ -37,6 +37,8 @@ def test_point_cloud_valid():
         dict(d=1, points=[[1.0]], seed=0, lam=math.nan),
         dict(d=1, points=[[1.0]], seed=-1, lam=1.0),  # bad seed
         dict(d=1, points=[[1.0]], seed=2**64, lam=1.0),  # seed overflow
+        dict(d=2.0, points=[[0.0, 1.0]], seed=0, lam=1.0),  # d not an integer
+        dict(d=True, points=[[0.0]], seed=0, lam=1.0),
     ],
 )
 def test_point_cloud_rejects(kwargs):
@@ -70,6 +72,9 @@ def test_degree_summary_invariants():
     assert summ.min_degree == 1
     assert summ.max_degree == 2
     assert 2 * summ.epsilon_n <= summ.n * summ.max_degree
+    arr = np.array([1, 1])
+    DegreeSummary(arr)
+    arr[0] = 0  # the caller's array stays writeable
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,11 @@ def test_grid_matches_brute_force_on_random_clouds():
         realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
         cases += [(cloud, y), (cloud, realised)]
     cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in ys]
+    # Many axes, each cloud with edges at y = 1: the offsets a first query
+    # matches are hundreds of the 3^d, on both sides of offset 0.
+    many_axes = [sample_exponential_cloud(60, d, 1.0, seed=d) for d in (6, 7, 8)]
+    assert all(len(brute_force_edges(cloud, 1.0)) for cloud in many_axes)
+    cases += [(cloud, 1.0) for cloud in many_axes]
     mismatches = []
     for case, (cloud, y) in enumerate(cases):
         # Directed edges i * n + j, so a query that misses a neighbour its
