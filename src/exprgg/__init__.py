@@ -9,7 +9,6 @@ from .model import (
     LogRegime,
     PointCloud,
     PowerFamily,
-    RggConfig,
     TheoryBounds,
 )
 from .sampling import (
@@ -48,7 +47,6 @@ from .experiments import (
     from_jsonable,
     parse_table,
     read_table,
-    run_degree_law,
     run_experiment,
     to_jsonable,
     write_manifest,

@@ -28,7 +28,6 @@ from .model import (
     LogRegime,
     PointCloud,
     PowerFamily,
-    RggConfig,
     TheoryBounds,
     _check_dim,
     _check_int,
@@ -93,6 +92,8 @@ class ExperimentSpec:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         _check_seed(self.base_seed, "base_seed")
+        for name in ("d", "replications", "base_seed"):  # numpy integers become ints
+            object.__setattr__(self, name, int(getattr(self, name)))
         if kind.families:
             if not isinstance(self.family, kind.families):
                 names = " or ".join(f.__name__ for f in kind.families)
@@ -193,29 +194,28 @@ def _family_columns(family: Optional[EdgeDistanceFamily]):
 
 def _graph_columns(spec: ExperimentSpec, cloud: PointCloud, own) -> dict:
     """Columns of a graph kind: the degree summary of G_n(y_n) is computed
-    once, and ``own(spec, summary, config)`` adds the kind's columns."""
+    once, and ``own(spec, summary, y_n)`` adds the kind's columns."""
     y = edge_distance(spec.family, cloud.n)
     summ = degree_summary(cloud, y)
-    cfg = RggConfig(n=cloud.n, d=spec.d, lam=spec.lam, y=y, seed=cloud.seed)
     return dict(
         y_n=y, epsilon_n=summ.epsilon_n, p_y=pair_connect_prob(y, spec.lam, spec.d),
-        **own(spec, summ, cfg),
+        **own(spec, summ, y),
     )
 
 
-def _degree_law_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfig) -> dict:
-    min_ratio, max_ratio = degree_ratios(summ, cfg)
+def _degree_law_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> dict:
+    min_ratio, max_ratio = degree_ratios(summ, y, spec.d)
     return dict(
         min_degree=summ.min_degree, max_degree=summ.max_degree,
         min_ratio=min_ratio, max_ratio=max_ratio,
     )
 
 
-def _edge_slln_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfig) -> dict:
-    return dict(gap=edge_density_gap(summ, cfg))
+def _edge_slln_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> dict:
+    return dict(gap=edge_density_gap(summ, y, spec.lam, spec.d))
 
 
-def _threshold_columns(spec: ExperimentSpec, summ: DegreeSummary, cfg: RggConfig) -> dict:
+def _threshold_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> dict:
     return dict(max_degree=summ.max_degree, has_edge=summ.epsilon_n >= 1)
 
 
@@ -432,12 +432,6 @@ def run_experiment(
     )
 
 
-def run_degree_law(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    if spec.kind != "degree-law":
-        raise ValueError(f"expected a degree-law spec, got {spec.kind}")
-    return run_experiment(spec, threads)
-
-
 # ---------------------------------------------------------------------------
 # Table emission and parsing
 # ---------------------------------------------------------------------------
@@ -565,8 +559,8 @@ def read_table(path: str, fmt: str) -> List[ResultRow]:
 # resolves no other class name.
 _JSON_TYPES = {
     cls.__name__: cls
-    for cls in (PointCloud, RggConfig, DegreeSummary, LogRegime, PowerFamily,
-                TheoryBounds, ExperimentSpec)
+    for cls in (PointCloud, DegreeSummary, LogRegime, PowerFamily, TheoryBounds,
+                ExperimentSpec)
 }
 
 

@@ -9,7 +9,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import DegreeSummary, PointCloud, RggConfig, _check_nonnegative
+from .model import DegreeSummary, PointCloud, _check_dim, _check_nonnegative
 from .spatial import build_grid_index, iter_candidate_pairs, sorted_window_ends
 from .theory import pair_connect_prob
 
@@ -58,6 +58,11 @@ def _pair_distances(cols: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return dist
 
 
+def _check_graph_size(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"degree statistics need n >= 2 points, got {n}")
+
+
 def _summary(degrees: np.ndarray) -> DegreeSummary:
     degrees.setflags(write=False)  # so DegreeSummary takes it without a copy
     return DegreeSummary(degrees)
@@ -77,8 +82,7 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     chunk. y = 0 takes the same paths as any other y.
     """
     n = cloud.n
-    if n < 2:
-        raise ValueError(f"degree statistics need n >= 2 points, got {n}")
+    _check_graph_size(n)
     _check_nonnegative(y, "y")
     # One reduction per axis column: reducing the (n, d) array over axis 0
     # is about 15x slower at d = 2.
@@ -137,23 +141,23 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     return np.cumsum(bins[:-1])
 
 
-def edge_density_gap(summary: DegreeSummary, config: RggConfig) -> float:
+def edge_density_gap(summary: DegreeSummary, y: float, lam: float, d: int) -> float:
     """| epsilon_n / C(n,2) - p(y) |, the edge-density deviation from its mean."""
-    if summary.n != config.n:
-        raise ValueError(f"summary has n={summary.n} but config has n={config.n}")
-    n = config.n
+    n = summary.n
+    _check_graph_size(n)
     density = summary.epsilon_n / (n * (n - 1) / 2)
-    return abs(density - pair_connect_prob(config.y, config.lam, config.d))
+    return abs(density - pair_connect_prob(y, lam, d))
 
 
-def degree_ratios(summary: DegreeSummary, config: RggConfig) -> Tuple[float, float]:
+def degree_ratios(summary: DegreeSummary, y: float, d: int) -> Tuple[float, float]:
     """(min_degree, max_degree) scaled by n * y^d, the ratios the strong-law
     bounds constrain."""
-    if summary.n != config.n:
-        raise ValueError(f"summary has n={summary.n} but config has n={config.n}")
-    if config.y == 0.0:
+    _check_graph_size(summary.n)
+    _check_nonnegative(y, "y")
+    _check_dim(d)
+    if y == 0.0:
         raise ValueError("degree ratios are undefined at y = 0")
-    denom = config.n * config.y**config.d
+    denom = summary.n * y**d
     if not math.isfinite(denom):
-        raise ValueError(f"n * y^d overflows for y={config.y}, d={config.d}")
+        raise ValueError(f"n * y^d overflows for y={y}, d={d}")
     return summary.min_degree / denom, summary.max_degree / denom

@@ -1,5 +1,5 @@
-"""Domain types shared by every module: point clouds, graph configs,
-degree summaries, edge-distance families and theoretical degree bounds.
+"""Domain types shared by every module: point clouds, degree summaries,
+edge-distance families and theoretical degree bounds.
 
 All types are immutable after construction. Each stores only its inputs,
 derives what it can from them and validates the rest eagerly, so an
@@ -86,6 +86,7 @@ class PointCloud:
             pts = pts.copy()  # never freeze an array the caller still owns
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -101,27 +102,6 @@ class PointCloud:
             and self.lam == other.lam
             and np.array_equal(self.points, other.points)
         )
-
-
-@dataclass(frozen=True)
-class RggConfig:
-    """One graph instance: n points in d dimensions, rate lam, edge distance y."""
-
-    n: int
-    d: int
-    lam: float
-    y: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"a graph needs n >= 2 vertices, got {self.n}")
-        _check_dim(self.d)
-        _check_rate(self.lam)
-        _check_nonnegative(self.y, "edge distance y")
-        _check_seed(self.seed)
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +166,7 @@ class LogRegime:
         _check_rate(self.lam)
         _check_dim(self.d)
         object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "d", int(self.d))
 
 
 @dataclass(frozen=True)
@@ -204,6 +185,7 @@ class PowerFamily:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         _check_rate(self.lam)
         _check_dim(self.d)
+        object.__setattr__(self, "d", int(self.d))
 
 
 EdgeDistanceFamily = Union[LogRegime, PowerFamily]

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .model import U64_MAX, PointCloud, _check_dim, _check_rate, _check_seed, fmt17
+from .model import U64_MAX, PointCloud, _check_dim, _check_int, _check_rate, _check_seed, fmt17
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -47,9 +47,10 @@ def derive_replication_seed(base_seed: int, index: int) -> int:
     map to distinct seeds for a fixed base seed.
     """
     _check_seed(base_seed, "base_seed")
+    _check_int(index, "replication index")
     if index < 0:
         raise ValueError(f"replication index must be >= 0, got {index}")
-    return mix64(base_seed + (index + 1) * GOLDEN)
+    return mix64(int(base_seed) + (int(index) + 1) * GOLDEN)
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:

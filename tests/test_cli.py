@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -123,6 +124,63 @@ def test_uniform_slln_golden_table(tmp_path, capsys, argv, rows):
                          "--n", "300,1200", "--reps", "2", "--seed", "7", "--out", str(out))
     assert code == 0
     assert out.read_bytes() == (UNIFORM_HEADER + rows).encode()
+
+
+# SHA-256 of the table and the manifest of one small run of every other kind,
+# at d = 1 and 2, run with --reps 2 --seed 7 --out t.csv from an empty
+# directory: the manifest records --out, so it is relative.
+KIND_GOLDEN = {
+    "degree-law-d1": (
+        "degree-law --d 1 --lambda 1 --c 4 --n 300,1200",
+        "5227b195eba1303ce59945425e33f17db0aaf19d775ee58ebb717f28fa9ace39",
+        "7153c0ec8b6675d94e74c7e45231f0d6f34a4149faf720cb0f3ab4329ed01e57"),
+    "degree-law-d2": (
+        "degree-law --d 2 --lambda 1 --c 4 --n 300,1200",
+        "1b1fe7db5ffc23932837293ebc1e295f2104ea824d58249fcded7a6571ebf6d2",
+        "f689feefacc9216bccd44370c86b25ccd5144e1492cbce3282798b01c3b4bc60"),
+    "edge-slln-d1": (
+        "edge-slln --d 1 --lambda 1 --c 2 --n 300,1200",
+        "4720e3ae05a534a3ad790058478c10a6a5698f5c1f63b77a903f932d16628a27",
+        "db61347f3b847b83a780481a1318846c1d27e93918361d0af40ab7ca8a4376b8"),
+    "edge-slln-d2": (
+        "edge-slln --d 2 --lambda 1 --c 2 --n 300,1200",
+        "757cbafe28175566091caf4b96fb70a8f0b51b22a84dd8355c7ead38c4e94a51",
+        "97ea9e2cb60843d3e2ce7633a812c3396f55cb25ba33e7fc72e3049a52782ccb"),
+    "threshold-c-d1": (
+        "threshold --d 1 --lambda 1 --c 1 --n 300,1200",
+        "6b10ec29a296da13ccf292bda0ac8157d1bd937660f9f774085dd041f455468c",
+        "292635c3394fb8cf9843408d85bb57d87b3a6be149d2197e7ba2c9774f92993a"),
+    "threshold-c-d2": (
+        "threshold --d 2 --lambda 1 --c 1 --n 300,1200",
+        "be221b3d8f5a00af0045b4d44f3e5d5a3ea48e9f943faa7e36a2e8f9cae26963",
+        "dae2ab45da4a8b61dab9c650d381620e87e452513582996c4eacc4f28bdc075a"),
+    "threshold-power-d1": (
+        "threshold --d 1 --lambda 1 --alpha 1 --beta 1.5 --n 300,1200",
+        "72e823277ff711110c2e3140cb0d8ff8c8741f9a839e38ab901bb1f863079df7",
+        "57f02a6c8d7840a194f653c720baa70ba615cf9d37bdc4a715c8033823dc610f"),
+    "threshold-power-d2": (
+        "threshold --d 2 --lambda 1 --alpha 1 --beta 1.5 --n 300,1200",
+        "c96c94e885ab62fa0fb08fa9777adf7a36b5c6a33cca066e862ca1c16ce042cd",
+        "dc91c5256625189ffea73eb5b954671e159ccfe57bc865c0d29add80eee10757"),
+    "containment-d1": (
+        "containment --d 1 --lambda 1 --epsilon 0.5 --n 300,1200",
+        "b4f954e1c2327244291a6512577ffe11139f10dbf707dc882463a8d2bf3910cc",
+        "c6c4ea7e09c915e1f1e1e8b5aafeb0a357a7a2e89154151f393e3e4d4f84978b"),
+    "containment-d2": (
+        "containment --d 2 --lambda 1 --epsilon 0.5 --n 300,1200",
+        "9bc93e95a77d62688b2210e1a7898075f4b141bbfbe377ebcc09f2dcf6d5d159",
+        "19d74d0ff281def95a638c231df3c6cf80fbe15469391a23bc82006f1a8bca0c"),
+}
+
+
+@pytest.mark.parametrize("argv, table, manifest", KIND_GOLDEN.values(), ids=KIND_GOLDEN)
+def test_kind_golden_bytes(tmp_path, monkeypatch, capsys, argv, table, manifest):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "experiment", *argv.split(), "--reps", "2", "--seed", "7",
+                         "--out", "t.csv")
+    assert code == 0
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (digest("t.csv"), digest("t.csv.manifest.json")) == (table, manifest)
 
 
 def test_theory_chernoff(capsys):

@@ -12,7 +12,6 @@ from exprgg import (
     brute_force_edges,
     emit,
     parse_table,
-    run_degree_law,
     run_experiment,
     sample_exponential_cloud,
     theory_bounds,
@@ -85,8 +84,8 @@ def test_threshold_rejects_vanishing_edge_distance():
 
 def test_rows_are_ordered_and_deterministic():
     spec = small_spec()
-    first = run_degree_law(spec)
-    second = run_degree_law(spec)
+    first = run_experiment(spec)
+    second = run_experiment(spec)
     assert [(r.n, r.replication) for r in first.rows] == [
         (n, rep) for n in spec.n_list for rep in range(spec.replications)
     ]
@@ -111,7 +110,7 @@ def test_thread_count_does_not_change_results():
 
 def test_degree_law_rows_carry_matching_bounds():
     spec = small_spec()
-    res = run_degree_law(spec)
+    res = run_experiment(spec)
     tb = theory_bounds(4.0, 1.0, 1)
     for row in res.rows:
         assert row.min_ratio <= row.max_ratio
@@ -247,7 +246,7 @@ def test_threshold_rows_and_manifest_oracle():
 
 def test_rows_satisfy_degree_invariants_where_populated():
     spec = small_spec(n_list=(60, 140), replications=3)
-    for row in run_degree_law(spec).rows:
+    for row in run_experiment(spec).rows:
         assert 0 <= row.min_degree <= row.max_degree <= row.n - 1
         assert 2 * row.epsilon_n <= row.n * row.max_degree
         assert row.epsilon_n >= 0
@@ -272,7 +271,7 @@ def test_rows_blank_fields_by_kind():
 
 def test_emit_csv_shape(tmp_path):
     spec = small_spec(n_list=(50,), replications=1)
-    res = run_degree_law(spec)
+    res = run_experiment(spec)
     out = tmp_path / "table.csv"
     emit(res.rows, "csv", str(out))
     lines = out.read_text().splitlines()
@@ -306,7 +305,7 @@ def test_emit_round_trip_and_cross_format_equality():
 
 def test_manifest_round_trip(tmp_path):
     spec = small_spec(n_list=(50,), replications=2)
-    res = run_degree_law(spec)
+    res = run_experiment(spec)
     out = tmp_path / "rows.csv"
     emit(res.rows, "csv", str(out))
     manifest_path = write_manifest(res, str(out), "csv")
@@ -334,6 +333,25 @@ def test_spec_json_handles_infinite_c(tmp_path):
 
 def test_manifest_floats_stay_strict_json():
     spec = small_spec(n_list=(50,), replications=1)
-    res = run_degree_law(spec)
+    res = run_experiment(spec)
     manifest = build_manifest(res, "rows.csv", "csv")
     json.dumps(manifest, allow_nan=False)  # must not raise
+
+
+def test_numpy_integer_spec_writes_the_same_bytes(tmp_path, monkeypatch):
+    def written(spec, tag):
+        (tmp_path / tag).mkdir()
+        monkeypatch.chdir(tmp_path / tag)  # the manifest records the relative --out
+        res = run_experiment(spec)
+        emit(res.rows, "csv", "t.csv")
+        write_manifest(res, "t.csv", "csv")
+        return [(tmp_path / tag / name).read_bytes() for name in ("t.csv", "t.csv.manifest.json")]
+
+    python_ints = small_spec(kind="edge-slln", n_list=(50, 120), replications=2, d=2,
+                             family=LogRegime(c=4.0, lam=1.0, d=2), base_seed=2**63 + 5)
+    numpy_ints = small_spec(
+        kind="edge-slln", n_list=np.array([50, 120]), replications=np.int64(2),
+        d=np.int64(2), family=LogRegime(c=4.0, lam=1.0, d=np.int64(2)),
+        base_seed=np.uint64(2**63 + 5),
+    )
+    assert written(numpy_ints, "np") == written(python_ints, "py")

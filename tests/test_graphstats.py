@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from conftest import (
     tie_and_overflow_clouds,
 )
 from exprgg import (
-    RggConfig,
     brute_force_edges,
     build_grid_index,
     degree_ratios,
@@ -173,35 +174,57 @@ def test_degrees_monotone_in_y():
 def test_edge_density_gap_trivial_cases():
     cloud = make_cloud([0.0, 0.5, 1.2])
     summ = degree_summary(cloud, 0.7)
-    n = 3
     y = 0.7
     p = pair_connect_prob(y, 1.0, 1)
-    cfg = RggConfig(n=n, d=1, lam=1.0, y=y, seed=0)
-    assert edge_density_gap(summ, cfg) == abs(summ.epsilon_n / 3 - p)
+    assert edge_density_gap(summ, y, 1.0, 1) == abs(summ.epsilon_n / 3 - p)
     # epsilon = 0 with y > 0 leaves exactly p(y)
     empty = degree_summary(make_cloud([0.0, 5.0, 11.0]), 0.5)
-    cfg2 = RggConfig(n=3, d=1, lam=1.0, y=0.5, seed=0)
-    assert edge_density_gap(empty, cfg2) == pair_connect_prob(0.5, 1.0, 1)
+    assert edge_density_gap(empty, 0.5, 1.0, 1) == pair_connect_prob(0.5, 1.0, 1)
+    # y = 0 is a valid edge distance: no pair connects and p(0) = 0
+    assert edge_density_gap(DegreeSummary([0, 0]), 0.0, 0.5, 1) == 0.0
 
 
 def test_degree_ratio_examples():
     # min degree equal to n*y^d forces a ratio of exactly 1
     summ = DegreeSummary([2, 2, 2, 2])
-    cfg = RggConfig(n=4, d=1, lam=1.0, y=0.5, seed=0)
-    min_ratio, max_ratio = degree_ratios(summ, cfg)
+    min_ratio, max_ratio = degree_ratios(summ, 0.5, 1)
     assert min_ratio == 1.0 and max_ratio == 1.0
     # complete graph: max ratio is (n-1)/(n*y^d)
     cloud = make_cloud([0.0, 0.1, 0.2, 0.3])
     summ_full = degree_summary(cloud, 10.0)
-    cfg_full = RggConfig(n=4, d=1, lam=1.0, y=10.0, seed=0)
-    _, max_ratio = degree_ratios(summ_full, cfg_full)
+    _, max_ratio = degree_ratios(summ_full, 10.0, 1)
     assert max_ratio == 3 / (4 * 10.0)
 
 
 def test_degree_ratio_rejects_y_zero():
     summ = DegreeSummary([0, 0])
     with pytest.raises(ValueError):
-        degree_ratios(summ, RggConfig(n=2, d=1, lam=1.0, y=0.0, seed=0))
+        degree_ratios(summ, 0.0, 1)
+
+
+@pytest.mark.parametrize(
+    "degrees, y, lam, d",
+    [
+        ([0], 0.5, 1.0, 1),  # n < 2
+        ([0, 0], -0.1, 1.0, 1),
+        ([0, 0], math.nan, 1.0, 1),
+        ([0, 0], 0.5, 1.0, 0),
+        ([0, 0], 0.5, 1.0, 2.0),  # d not an integer
+        ([0, 0], 0.5, 1.0, True),
+    ],
+)
+def test_ratio_and_gap_refuse_bad_inputs(degrees, y, lam, d):
+    summ = DegreeSummary(degrees)
+    with pytest.raises(ValueError):
+        degree_ratios(summ, y, d)
+    with pytest.raises(ValueError):
+        edge_density_gap(summ, y, lam, d)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_gap_refuses_bad_rate(lam):
+    with pytest.raises(ValueError):
+        edge_density_gap(DegreeSummary([1, 1]), 0.5, lam, 1)
 
 
 def test_max_ratio_dominates_mean_degree_ratio():
@@ -214,7 +237,6 @@ def test_max_ratio_dominates_mean_degree_ratio():
         y = 0.05 + float(u[2])
         cloud = sample_exponential_cloud(n, d, 1.0, derive_replication_seed(case_seed, 0))
         summ = degree_summary(cloud, y)
-        cfg = RggConfig(n=n, d=d, lam=1.0, y=y, seed=0)
-        min_ratio, max_ratio = degree_ratios(summ, cfg)
+        min_ratio, max_ratio = degree_ratios(summ, y, d)
         assert min_ratio <= max_ratio
         assert max_ratio >= 2 * summ.epsilon_n / (n**2 * y**d) - 1e-12

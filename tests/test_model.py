@@ -9,9 +9,9 @@ from exprgg import (
     LogRegime,
     PointCloud,
     PowerFamily,
-    RggConfig,
     TheoryBounds,
     from_jsonable,
+    sample_exponential_cloud,
     theory_bounds,
     to_jsonable,
 )
@@ -50,20 +50,6 @@ def test_point_cloud_does_not_freeze_callers_array():
     arr = np.array([[1.0], [2.0]])
     PointCloud(d=1, points=arr, seed=0, lam=1.0)
     arr[0, 0] = 5.0  # still writeable
-
-
-def test_rgg_config_validation():
-    RggConfig(n=2, d=1, lam=0.5, y=0.0, seed=1)
-    for bad in [
-        dict(n=1, d=1, lam=1.0, y=0.1, seed=0),
-        dict(n=2, d=0, lam=1.0, y=0.1, seed=0),
-        dict(n=2, d=1, lam=-1.0, y=0.1, seed=0),
-        dict(n=2, d=1, lam=1.0, y=-0.1, seed=0),
-        dict(n=2, d=1, lam=math.inf, y=0.1, seed=0),
-        dict(n=2, d=1, lam=1.0, y=math.nan, seed=0),
-    ]:
-        with pytest.raises(ValueError):
-            RggConfig(**bad)
 
 
 def test_degree_summary_invariants():
@@ -137,7 +123,6 @@ def test_theory_bounds_fields():
     "obj",
     [
         PointCloud(d=2, points=[[0.0, 1.25], [2.5, 1e-17]], seed=9, lam=0.75),
-        RggConfig(n=5, d=3, lam=2.0, y=0.125, seed=2**63),
         DegreeSummary([2, 2, 1, 1]),
         LogRegime(c=4.0, lam=1.0, d=1),
         LogRegime(c=math.inf, lam=2.0, d=3),
@@ -152,7 +137,6 @@ def test_theory_bounds_fields():
             base_seed=42,
             family=LogRegime(c=4.0, lam=1.0, d=1),
         ),
-        RggConfig(n=5, d=1, lam=1.0, y=math.inf, seed=3),
         ExperimentSpec(
             kind="uniform-slln", n_list=(50,), d=2, lam=0.5, replications=1,
             base_seed=1, y_grid=(0.1, 0.5, 1.0),
@@ -221,3 +205,22 @@ def test_json_refuses_inconsistent_derived_field(data, field):
     # ... but a supplied one must agree with the inputs.
     with pytest.raises(ValueError, match=f"field '{field}'"):
         from_jsonable(data)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        sample_exponential_cloud(10, np.int64(2), 1.0, 3),
+        LogRegime(c=4.0, lam=1.0, d=np.int64(2)),
+        PowerFamily(alpha=1.0, beta=3.0, lam=1.0, d=np.int32(2)),
+        ExperimentSpec(
+            kind="containment", n_list=(50,), d=np.int64(2), lam=1.0,
+            replications=np.int64(1), base_seed=np.uint64(2), epsilon=0.5,
+        ),
+    ],
+    ids=["PointCloud", "LogRegime", "PowerFamily", "ExperimentSpec"],
+)
+def test_numpy_integer_fields_are_stored_as_int(obj):
+    data = json.loads(json.dumps(to_jsonable(obj)))
+    assert type(obj.d) is int and data["d"] == 2
+    assert from_jsonable(data) == obj

@@ -30,6 +30,7 @@ KNOWN_WORDS = {
 def test_derivation_golden_values():
     for (base, idx), expected in KNOWN_WORDS.items():
         assert derive_replication_seed(base, idx) == expected
+        assert derive_replication_seed(np.uint64(base), np.int64(idx)) == expected
 
 
 def test_derivation_is_deterministic_and_distinct():
@@ -43,6 +44,8 @@ def test_derivation_refuses_negative_seed_and_index():
         derive_replication_seed(-1, 0)
     with pytest.raises(ValueError):
         derive_replication_seed(0, -2)
+    with pytest.raises(ValueError):
+        derive_replication_seed(0, 1.5)
 
 
 def _derive_vectorized(base: int, count: int) -> np.ndarray:
