@@ -23,7 +23,6 @@ from .spatial import (
     GridIndex,
     brute_force_edges,
     build_grid_index,
-    linf_distance,
     neighbors_within,
 )
 from .graphstats import degree_ratios, degree_summary, edge_density_gap

@@ -39,7 +39,7 @@ from .sampling import (
     uniform_stream,
     write_cloud,
 )
-from .spatial import brute_force_edges, build_grid_index, neighbors_within
+from .spatial import _neighbor_ids, brute_force_edges, build_grid_index
 from .theory import (
     a_max,
     a_min,
@@ -222,8 +222,7 @@ def _engine_mismatches(cloud: PointCloud, y: float) -> List[str]:
     # Directed edges as codes i * n + j; each undirected edge appears twice.
     want = np.sort(np.concatenate((expected @ [n, 1], expected @ [1, n])))
     index = build_grid_index(cloud, y)
-    hits = [np.fromiter(neighbors_within(index, i, y), dtype=np.int64) for i in range(n)]
-    got = np.sort(np.repeat(np.arange(n) * n, [len(h) for h in hits]) + np.concatenate(hits))
+    got = np.concatenate([i * n + _neighbor_ids(index, i, y) for i in range(n)])
     # The oracle's edges at y / 2 are those of its edges at y whose distance,
     # computed as it computes it, is within y / 2.
     dist = np.abs(cloud.points[expected[:, 0]] - cloud.points[expected[:, 1]]).max(axis=1)
@@ -317,6 +316,9 @@ def _build_spec(args) -> ExperimentSpec:
 
 def _cmd_experiment(args) -> int:
     spec = _build_spec(args)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # refused before any replication runs
+        raise OSError(f"cannot write table to {args.out}: no directory {out_dir}")
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("EXPRGG_THREADS", "0"))

@@ -33,6 +33,7 @@ from .model import (
     _check_int,
     _check_rate,
     _check_seed,
+    _number,
     fmt17,
 )
 from .graphstats import _edge_counts_multi, degree_ratios, degree_summary, edge_density_gap
@@ -94,6 +95,7 @@ class ExperimentSpec:
         _check_seed(self.base_seed, "base_seed")
         for name in ("d", "replications", "base_seed"):  # numpy integers become ints
             object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "lam", _number(self.lam))
         if kind.families:
             if not isinstance(self.family, kind.families):
                 names = " or ".join(f.__name__ for f in kind.families)
@@ -139,6 +141,7 @@ class ExperimentSpec:
         if kind.epsilon:
             if self.epsilon is None or not self.epsilon >= 0.0:
                 raise ValueError(f"{self.kind} requires epsilon >= 0")
+            object.__setattr__(self, "epsilon", _number(self.epsilon))
             for n in n_list:
                 containment_radius(n, self.lam, self.d, self.epsilon)
         elif self.epsilon is not None:

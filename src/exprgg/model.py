@@ -28,6 +28,12 @@ def _check_int(value: int, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value: float) -> Union[int, float]:
+    """A checked parameter as a Python number: an integer type gives an int,
+    anything else a float, so a numpy scalar never reaches the JSON codec."""
+    return int(value) if isinstance(value, (int, np.integer)) else float(value)
+
+
 def _check_seed(seed: int, what: str = "seed") -> None:
     _check_int(seed, what)
     if not 0 <= int(seed) <= U64_MAX:
@@ -88,6 +94,7 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "lam", _number(self.lam))
 
     @property
     def n(self) -> int:
@@ -166,6 +173,7 @@ class LogRegime:
         _check_rate(self.lam)
         _check_dim(self.d)
         object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "lam", _number(self.lam))
         object.__setattr__(self, "d", int(self.d))
 
 
@@ -185,6 +193,8 @@ class PowerFamily:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         _check_rate(self.lam)
         _check_dim(self.d)
+        for name in ("alpha", "beta", "lam"):
+            object.__setattr__(self, name, _number(getattr(self, name)))
         object.__setattr__(self, "d", int(self.d))
 
 

@@ -73,6 +73,7 @@ def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     z ^= t
     z >>= np.uint64(11)
     z += np.uint64(1)
+    del t  # so the result is the second n-sized buffer, not the third
     return z * 2.0**-53
 
 
@@ -101,6 +102,7 @@ def sample_exponential_cloud(n: int, d: int, lam: float, seed: int) -> PointClou
     np.negative(u, out=u)
     with np.errstate(over="ignore"):  # a subnormal lam overflows; PointCloud refuses inf
         u /= lam
+    u.setflags(write=False)  # so PointCloud takes it without a copy
     return PointCloud(d=d, points=u.reshape(n, d), seed=int(seed), lam=lam)
 
 

@@ -1,6 +1,6 @@
-"""l-infinity geometry: the metric, a uniform-grid fixed-radius index, the
-sorted-window sweep, and the brute-force pairwise scan that serves as the
-correctness oracle of both.
+"""l-infinity geometry: a uniform-grid fixed-radius index, the sorted-window
+sweep, and the brute-force pairwise scan that serves as the correctness
+oracle of both.
 
 The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 (IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
@@ -37,15 +37,6 @@ _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
 _MAX_AXES = 12  # a walk visits 3^k cell offsets in Python; 3^12 takes seconds
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
-
-
-def linf_distance(p, q) -> float:
-    """Chebyshev distance: max over axes of the absolute coordinate difference."""
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(q, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
 def _fit_cells(points: np.ndarray, cell_size: float) -> Tuple[np.ndarray, float, List[int]]:
@@ -118,13 +109,6 @@ class GridIndex:
     @property
     def n_cells(self) -> int:
         return len(self._cell_keys)
-
-    @property
-    def cells(self) -> dict:
-        """Mapping from cell coordinate tuple to the array of member vertex ids."""
-        first = self.cloud.points[self._members[self._starts[:-1]]]
-        coords = np.floor(first / self.cell_size).astype(np.int64)
-        return {tuple(c): self.members(g) for g, c in enumerate(coords)}
 
     def members(self, group: int) -> np.ndarray:
         return self._members[self._starts[group]:self._starts[group + 1]]
@@ -247,6 +231,11 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
 
     Requires y <= cell_size so i's cell and its matched neighbour cells hold them all.
     """
+    return set(_neighbor_ids(index, i, y).tolist())
+
+
+def _neighbor_ids(index: GridIndex, i: int, y: float) -> np.ndarray:
+    """``neighbors_within`` as an ascending int64 array."""
     n = index.cloud.n
     if not 0 <= i < n:
         raise IndexError(f"vertex id {i} out of range for n={n}")
@@ -260,7 +249,7 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
     near = np.abs(index.cloud.points[cand] - index.cloud.points[i]) <= y
     # Rows of a contiguous (d, k) copy reduce several times faster than (k, d).
     hits = cand[np.logical_and.reduce(np.ascontiguousarray(near.T))]
-    return set(hits[hits != i].tolist())
+    return np.sort(hits[hits != i])
 
 
 def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:

@@ -558,14 +558,22 @@ def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_experiment_unwritable_path_exits_two(capsys):
+def test_experiment_unwritable_path_exits_two(capsys, monkeypatch):
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the output directory was checked")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
     code, _, err = run_cli(
         capsys, "experiment", "edge-slln", "--d", "1", "--lambda", "1",
         "--c", "2", "--n", "60", "--reps", "1", "--seed", "1",
         "--out", "/nonexistent-dir/rows.csv",
     )
     assert code == 2
-    assert "nonexistent-dir" in err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert "nonexistent-dir" in line
 
 
 def test_module_entry_point(tmp_path):

@@ -15,6 +15,7 @@ from exprgg import (
     run_experiment,
     sample_exponential_cloud,
     theory_bounds,
+    to_jsonable,
 )
 from exprgg.experiments import (
     CSV_COLUMNS,
@@ -338,14 +339,19 @@ def test_manifest_floats_stay_strict_json():
     json.dumps(manifest, allow_nan=False)  # must not raise
 
 
+def _written_bytes(spec, directory, monkeypatch):
+    """The table and manifest bytes that ``spec`` writes in a new ``directory``."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)  # the manifest records the relative --out
+    res = run_experiment(spec)
+    emit(res.rows, "csv", "t.csv")
+    write_manifest(res, "t.csv", "csv")
+    return [(directory / name).read_bytes() for name in ("t.csv", "t.csv.manifest.json")]
+
+
 def test_numpy_integer_spec_writes_the_same_bytes(tmp_path, monkeypatch):
     def written(spec, tag):
-        (tmp_path / tag).mkdir()
-        monkeypatch.chdir(tmp_path / tag)  # the manifest records the relative --out
-        res = run_experiment(spec)
-        emit(res.rows, "csv", "t.csv")
-        write_manifest(res, "t.csv", "csv")
-        return [(tmp_path / tag / name).read_bytes() for name in ("t.csv", "t.csv.manifest.json")]
+        return _written_bytes(spec, tmp_path / tag, monkeypatch)
 
     python_ints = small_spec(kind="edge-slln", n_list=(50, 120), replications=2, d=2,
                              family=LogRegime(c=4.0, lam=1.0, d=2), base_seed=2**63 + 5)
@@ -355,3 +361,29 @@ def test_numpy_integer_spec_writes_the_same_bytes(tmp_path, monkeypatch):
         base_seed=np.uint64(2**63 + 5),
     )
     assert written(numpy_ints, "np") == written(python_ints, "py")
+
+
+def test_numpy_float_spec_writes_the_same_bytes(tmp_path, monkeypatch):
+    # Values that float32 holds exactly: np.float32(0.1) is another number.
+    # A numpy integer lambda writes as the int it stands for, a float one as
+    # the float, like the Python numbers.
+    containment = dict(kind="containment", n_list=(50, 120), d=2, replications=2, family=None)
+    cases = [
+        (small_spec(**containment, lam=1.0, epsilon=0.5),
+         small_spec(**containment, lam=np.float32(1.0), epsilon=np.float32(0.5))),
+        (small_spec(kind="threshold", lam=1, family=PowerFamily(alpha=4.0, beta=0.5, lam=1, d=1)),
+         small_spec(kind="threshold", lam=np.int64(1), family=PowerFamily(
+             alpha=np.float32(4.0), beta=np.float64(0.5), lam=np.int64(1), d=1))),
+        (small_spec(kind="edge-slln", lam=0.5, family=LogRegime(c=4.0, lam=0.5, d=1)),
+         small_spec(kind="edge-slln", lam=np.float64(0.5),
+                    family=LogRegime(c=4.0, lam=np.float32(0.5), d=1))),
+    ]
+    cloud = sample_exponential_cloud(3, 1, np.float32(2.0), seed=1)
+    assert type(cloud.lam) is float and cloud == sample_exponential_cloud(3, 1, 2.0, seed=1)
+    for k, (python_spec, numpy_spec) in enumerate(cases):
+        text = json.dumps(to_jsonable(numpy_spec))  # must not raise
+        assert text == json.dumps(to_jsonable(python_spec)), numpy_spec.kind
+        assert _written_bytes(numpy_spec, tmp_path / f"np{k}", monkeypatch) == _written_bytes(
+            python_spec, tmp_path / f"py{k}", monkeypatch
+        ), numpy_spec.kind
+    assert '"lambda": 1,' in json.dumps(to_jsonable(cases[1][1]))  # an integer stays an int

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,20 @@ def test_cloud_determinism():
     assert a == b
     c = sample_exponential_cloud(100, 3, 2.0, seed=8)
     assert not np.array_equal(a.points, c.points)
+
+
+def test_sampling_holds_two_cloud_sized_buffers():
+    # The stream's words and one shift buffer, then the coordinates in place:
+    # the shift buffer is gone before the result is allocated, and the
+    # cloud keeps the sampled array rather than a copy.
+    tracemalloc.start()
+    try:
+        cloud = sample_exponential_cloud(10**6, 1, 1.0, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * cloud.points.nbytes, peak / cloud.points.nbytes
+    assert not cloud.points.flags.owndata  # the sampled array itself, not a copy
 
 
 def test_cloud_rejects_bad_args():

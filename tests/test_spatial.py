@@ -3,80 +3,52 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     gap_boundary_clouds,
     make_cloud,
     scalar_edges,
-    scalar_linf,
     tie_and_overflow_clouds,
 )
 from exprgg import (
     brute_force_edges,
     build_grid_index,
-    linf_distance,
     neighbors_within,
     sample_exponential_cloud,
 )
 from exprgg.sampling import derive_replication_seed, uniform_stream
-from exprgg.spatial import _CANDIDATE_CHUNK, iter_candidate_pairs, sorted_window_ends
-
-
-def test_linf_examples():
-    assert linf_distance((0.0, 0.0), (1.0, 2.0)) == 2.0
-    assert linf_distance((3.0, 4.0, 5.0), (3.0, 4.0, 5.0)) == 0.0
-    with pytest.raises(ValueError):
-        linf_distance((0.0,), (0.0, 1.0))
-
-
-def test_linf_against_scalar_loop_oracle():
-    rng = np.random.RandomState(0)
-    for _ in range(1000):
-        d = rng.randint(1, 4)
-        p = rng.exponential(size=d)
-        q = rng.exponential(size=d)
-        assert linf_distance(p, q) == scalar_linf(p, q)
-
-
-@given(
-    st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=4),
-    st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=4),
+from exprgg.spatial import (
+    _CANDIDATE_CHUNK,
+    _neighbor_ids,
+    iter_candidate_pairs,
+    sorted_window_ends,
 )
-@settings(max_examples=300)
-def test_linf_metric_properties(p, q):
-    if len(p) != len(q):
-        with pytest.raises(ValueError):
-            linf_distance(p, q)
-        return
-    dist = linf_distance(p, q)
-    assert dist >= 0.0
-    assert dist == linf_distance(q, p)
-    assert (dist == 0.0) == (list(p) == list(q))
 
 
-def test_linf_triangle_inequality_sampled():
-    rng = np.random.RandomState(1)
-    for _ in range(10**4):
-        d = rng.randint(1, 4)
-        p, q, r = rng.exponential(size=(3, d))
-        assert linf_distance(p, r) <= linf_distance(p, q) + linf_distance(q, r) + 1e-12
+def cell_layout(index):
+    """The member ids of each group of ``index``, keyed by cell coordinates,
+    after asserting that all members of a group share one
+    floor(points / cell_size) cell and that no two groups share a cell, so
+    two cells merged under one key fail."""
+    layout = {}
+    for g in range(index.n_cells):
+        ids = index.members(g)
+        cells = np.floor(index.cloud.points[ids] / index.cell_size).astype(np.int64)
+        assert np.all(cells == cells[0])
+        cell = tuple(cells[0].tolist())
+        assert cell not in layout
+        layout[cell] = ids.tolist()
+    return layout
 
 
 def test_grid_single_point_at_origin():
     index = build_grid_index(make_cloud([[0.0, 0.0]]), 1.0)
-    cells = index.cells
-    assert list(cells) == [(0, 0)]
-    assert list(cells[(0, 0)]) == [0]
+    assert cell_layout(index) == {(0, 0): [0]}
 
 
 def test_grid_two_cells():
     index = build_grid_index(make_cloud([0.5, 1.5]), 1.0)
-    cells = index.cells
-    assert sorted(cells) == [(0,), (1,)]
-    assert list(cells[(0,)]) == [0]
-    assert list(cells[(1,)]) == [1]
+    assert cell_layout(index) == {(0,): [0], (1,): [1]}
 
 
 def test_grid_rejects_nonpositive_cell():
@@ -87,12 +59,10 @@ def test_grid_rejects_nonpositive_cell():
 def test_grid_partitions_all_vertices():
     cloud = sample_exponential_cloud(10**4, 2, 1.0, seed=5)
     index = build_grid_index(cloud, 0.25)
-    seen = np.concatenate([ids for ids in index.cells.values()])
-    assert sorted(seen.tolist()) == list(range(10**4))
+    assert index.cell_size == 0.25
     # and every vertex sits in the cell its coordinates dictate
-    for cell, ids in index.cells.items():
-        expected = np.floor(cloud.points[ids] / 0.25).astype(np.int64)
-        assert np.all(expected == np.asarray(cell))
+    seen = sum(cell_layout(index).values(), [])
+    assert sorted(seen) == list(range(10**4))
 
 
 def test_neighbors_boundary_inclusive():
@@ -176,8 +146,13 @@ def test_grid_matches_brute_force_on_random_clouds():
         n, edges = cloud.n, brute_force_edges(cloud, y)
         expected = np.sort(np.concatenate((edges @ [n, 1], edges @ [1, n])))
         index = build_grid_index(cloud, y)
-        got = [i * n + np.fromiter(neighbors_within(index, i, y), np.int64) for i in range(n)]
-        if not np.array_equal(np.sort(np.concatenate(got)), expected):
+        got = []
+        for i in range(n):
+            ids = _neighbor_ids(index, i, y)
+            assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0), (case, i)
+            assert ids.tolist() == sorted(neighbors_within(index, i, y)), (case, i)
+            got.append(i * n + ids)
+        if not np.array_equal(np.concatenate(got), expected):
             mismatches.append(case)
     assert mismatches == []
 
@@ -264,11 +239,7 @@ def test_grid_widens_cells_whose_keys_would_overflow():
     cloud = make_cloud([[1.0, 1.0], [1.0 + 2.0**32, 1.0], [1.0, 2.0**32 - 2], [1.5, 1.5]])
     index = build_grid_index(cloud, 1.0)
     assert index.cell_size >= 1.0
-    cells = index.cells
-    assert sorted(np.concatenate(list(cells.values())).tolist()) == [0, 1, 2, 3]
-    for cell, ids in cells.items():
-        expected = np.floor(cloud.points[ids] / index.cell_size).astype(np.int64)
-        assert np.all(expected == np.asarray(cell))
+    assert sorted(sum(cell_layout(index).values(), [])) == [0, 1, 2, 3]
     assert neighbors_within(index, 0, 1.0) == {3}
     assert neighbors_within(index, 1, 1.0) == set()
 
