@@ -319,6 +319,8 @@ def _cmd_experiment(args) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):  # refused before any replication runs
         raise OSError(f"cannot write table to {args.out}: no directory {out_dir}")
+    if os.path.isdir(args.out):
+        raise OSError(f"cannot write table to {args.out}: it is a directory")
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("EXPRGG_THREADS", "0"))

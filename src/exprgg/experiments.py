@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -410,13 +411,15 @@ def run_experiment(
     """Run every (n, replication) job of ``spec`` and summarize per n.
 
     ``threads`` parallelizes the replications of each n; the result is
-    independent of the worker count. ``progress`` receives one line per n.
+    independent of the worker count. ``progress`` receives one line per n,
+    with its wall time and replications per second.
     """
     workers = _resolve_threads(threads)
     kind = EXPERIMENT_KINDS[spec.kind]
     theory = kind.theory(spec)
     per_n: List[List[ResultRow]] = []
     for i_n, n in enumerate(spec.n_list):
+        started = time.perf_counter()
         job = partial(_run_replication, spec, i_n)
         reps = range(spec.replications)
         if workers > 1 and spec.replications > 1:
@@ -426,7 +429,9 @@ def run_experiment(
             rows = [job(rep) for rep in reps]
         per_n.append(rows)
         if progress is not None:
-            progress(f"[{spec.kind}] n={n}: {spec.replications} replication(s) done")
+            elapsed = time.perf_counter() - started
+            progress(f"[{spec.kind}] n={n}: {spec.replications} replication(s) done in "
+                     f"{elapsed:.3f} s ({spec.replications / elapsed:.1f} reps/s)")
     return ExperimentResult(
         spec=spec,
         rows=[row for rows in per_n for row in rows],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -120,6 +120,17 @@ class DegreeSummary:
     Invariants enforced: a nonempty 1-d sequence, 0 <= degree <= n - 1, and an
     even degree sum, which the handshake identity sum(degrees) == 2 * epsilon_n
     requires.
+
+    The degree engine lists degrees in the order of its sorted ranks, and
+    builds its summaries with ``_in_rank_order``. No check and no derived
+    field depends on vertex order, so all of them come from the rank-order
+    degrees, and the per-vertex ``degrees`` array is built only when it is
+    first read. Until then the summary keeps what the rank-to-vertex map
+    needs (the cloud at d = 1, the gathered map at d >= 2); from then on it
+    holds only the per-vertex array, as one built from ``degrees`` does.
+    Threads that race on that first read each build an equal array, and
+    every one of them returns the array stored first. A summary pickles and
+    copies as ``DegreeSummary(degrees)``.
     """
 
     degrees: np.ndarray
@@ -129,6 +140,25 @@ class DegreeSummary:
 
     def __post_init__(self) -> None:
         deg = np.asarray(self.degrees, dtype=np.int64)
+        if deg is self.degrees and deg.flags.writeable:
+            deg = deg.copy()  # never freeze an array the caller still owns
+        self._derive(deg)
+        object.__setattr__(self, "degrees", deg)
+
+    @classmethod
+    def _in_rank_order(
+        cls, ranked: np.ndarray, vertex_of: Callable[[], np.ndarray]
+    ) -> "DegreeSummary":
+        """The summary of int64 degrees listed by rank: ``ranked[r]`` is the
+        degree of vertex ``vertex_of()[r]``. ``ranked`` is frozen in place, and
+        ``vertex_of`` is called on the first read of ``degrees``."""
+        summary = cls.__new__(cls)
+        summary._derive(ranked)
+        object.__setattr__(summary, "_vertex_of", vertex_of)
+        return summary
+
+    def _derive(self, deg: np.ndarray) -> None:
+        """Checks the degree multiset ``deg``, freezes it and derives the fields."""
         if deg.ndim != 1 or deg.shape[0] < 1:
             raise ValueError("degrees must be a nonempty 1-d integer sequence")
         lo, hi, total = int(deg.min()), int(deg.max()), int(deg.sum())
@@ -136,17 +166,36 @@ class DegreeSummary:
             raise ValueError("every degree must lie in [0, n-1]")
         if total % 2:
             raise ValueError(f"handshake violation: sum(degrees)={total} is odd")
-        if deg is self.degrees and deg.flags.writeable:
-            deg = deg.copy()  # never freeze an array the caller still owns
         deg.setflags(write=False)
-        object.__setattr__(self, "degrees", deg)
+        object.__setattr__(self, "_ranked", deg)
         object.__setattr__(self, "epsilon_n", total // 2)
         object.__setattr__(self, "min_degree", lo)
         object.__setattr__(self, "max_degree", hi)
 
+    def __getattr__(self, name: str):
+        # Called only for an attribute that is not set: ``degrees`` of a
+        # summary built in rank order, until its first read.
+        if name != "degrees":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state = vars(self)
+        vertex_of = state.get("_vertex_of")
+        if vertex_of is not None:  # else a racing first read has stored it
+            deg = np.empty_like(self._ranked)
+            deg[vertex_of()] = self._ranked
+            deg.setflags(write=False)
+            # setdefault is atomic, so racing first reads all return one
+            # array; the map and the rank-order array go once it is stored.
+            deg = state.setdefault("degrees", deg)
+            state.pop("_vertex_of", None)
+            state["_ranked"] = deg
+        return state["degrees"]
+
+    def __reduce__(self):
+        return type(self), (self.degrees,)
+
     @property
     def n(self) -> int:
-        return self.degrees.shape[0]
+        return self._ranked.shape[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreeSummary):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -319,6 +320,24 @@ def test_graph_csv_and_json(capsys):
     assert data["y"] == "inf" and data["degrees"] == [49] * 50
 
 
+# SHA-256 of `graph --format json` stdout, whose "degrees" list is in vertex
+# order, at d = 1 (max degree 11) and d = 2 (max degree 7).
+GRAPH_JSON_GOLDEN = {
+    "d1": ("--d 1 --lambda 1 --y 0.01",
+           "ee0b8e34bdfa7340f64091e06804ee6d041fa8b5b7b7a678403655fe8530a637"),
+    "d2": ("--d 2 --lambda 1 --y 0.05",
+           "50122598284cbe73421e287bd0a157f1b2ca97a9d8128d40fc73033adfed95f2"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", GRAPH_JSON_GOLDEN.values(), ids=GRAPH_JSON_GOLDEN)
+def test_graph_json_golden_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "graph", "--n", "400", *argv.split(), "--seed", "3",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identical_argv_identical_stdout(capsys):
     args = ["graph", "--n", "80", "--d", "1", "--lambda", "2", "--y", "0.1", "--seed", "5"]
     _, first, _ = run_cli(capsys, *args)
@@ -408,7 +427,12 @@ def test_experiment_writes_table_and_manifest(tmp_path, capsys):
     assert out.exists()
     manifest = tmp_path / "rows.csv.manifest.json"
     assert manifest.exists()
-    assert "n=100" in stderr and "n=200" in stderr  # line-per-n log
+    # One line per n: its wall time and replication rate.
+    progress = stderr.splitlines()
+    assert len(progress) == 2, stderr
+    for n, line in zip((100, 200), progress):
+        assert re.fullmatch(rf"\[edge-slln\] n={n}: 2 replication\(s\) done in "
+                            r"\d+\.\d{3} s \(\d+\.\d reps/s\)", line), line
     lines = out.read_text().splitlines()
     assert len(lines) == 5
     data = json.loads(manifest.read_text())
@@ -574,6 +598,22 @@ def test_experiment_unwritable_path_exits_two(capsys, monkeypatch):
     assert "Traceback" not in err
     (line,) = err.splitlines()
     assert "nonexistent-dir" in line
+
+
+def test_experiment_out_directory_refused_before_any_replication(tmp_path, capsys, monkeypatch):
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before --out was checked")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    code, _, err = run_cli(
+        capsys, "experiment", "edge-slln", "--d", "1", "--lambda", "1",
+        "--c", "1", "--n", "10", "--reps", "2", "--seed", "1", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert err == f"exprgg: I/O error: cannot write table to {tmp_path}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,9 @@
+import copy
+import json
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from exprgg import (
     pair_connect_prob,
     sample_exponential_cloud,
 )
+from exprgg.experiments import from_jsonable, to_jsonable
 from exprgg.model import DegreeSummary
 from exprgg.sampling import derive_replication_seed, uniform_stream
 
@@ -151,6 +157,90 @@ def test_column_engine_matches_brute_force_at_its_edges():
             assert degree_summary(cloud, y) == expected, (cloud.d, y)
     for cloud, y in empty:
         assert degree_summary(cloud, y).max_degree == 0, (cloud.d, y)
+
+
+def test_d1_degrees_in_vertex_order_under_heavy_ties():
+    # The d = 1 engine counts in sorted-value order and maps its ranks back
+    # with a fresh argsort, which may order a run of equal coordinates
+    # differently: every vertex of the run must still get the run's degree.
+    cloud = sample_exponential_cloud(600, 1, 1.0, 8)
+    snapped = make_cloud(np.floor(4 * cloud.points) / 4)
+    equal = make_cloud(np.full(50, 1.25))
+    equal_but_one = make_cloud(np.append(np.full(50, 1.25), 3.0))
+    for c, ys in ((snapped, (0.0, 0.25, 0.5, 0.6)), (cloud, (0.0, 0.01, 0.05)),
+                  (equal, (0.0, 1.0)), (equal_but_one, (0.0, 1.0))):
+        for y in ys:
+            want = np.bincount(brute_force_edges(c, y).ravel(), minlength=c.n)
+            assert np.array_equal(degree_summary(c, y).degrees, want), (c.n, y)
+
+
+def engine_and_oracle_summaries():
+    """(engine summary, eager summary of the oracle's degrees) at d = 1 and 2."""
+    out = []
+    for d, y in ((1, 0.02), (2, 0.1)):
+        cloud = sample_exponential_cloud(300, d, 1.0, 11)
+        eager = summary_from_edges(300, brute_force_edges(cloud, y))
+        out.append((degree_summary(cloud, y), eager))
+    return out
+
+
+def test_engine_summary_matches_the_oracle_and_its_json():
+    for got, want in engine_and_oracle_summaries():
+        assert got.max_degree > 1
+        assert got == want and want == got
+        text = json.dumps(to_jsonable(got))
+        assert text == json.dumps(to_jsonable(want))
+        assert from_jsonable(json.loads(text)) == got
+
+
+def test_engine_summary_builds_vertex_order_only_when_read():
+    for got, want in engine_and_oracle_summaries():
+        fields = (got.n, got.epsilon_n, got.min_degree, got.max_degree)
+        assert fields == (want.n, want.epsilon_n, want.min_degree, want.max_degree)
+        assert "degrees" not in vars(got)
+        first = got.degrees
+        assert "degrees" in vars(got) and got.degrees is first
+        assert not first.flags.writeable
+        # Once built, the summary holds only the per-vertex array.
+        assert "_vertex_of" not in vars(got) and got._ranked is first
+
+
+def test_engine_summary_pickles_and_copies_as_its_degrees():
+    for got, want in engine_and_oracle_summaries():
+        for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
+            again = copy_of(got)
+            assert again == want and again.max_degree == want.max_degree
+            assert vars(again).keys() == vars(want).keys()
+
+
+def test_racing_first_reads_of_degrees_return_one_array():
+    # More threads than cores and a short switch interval, so that first
+    # reads of fresh summaries interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cloud, y in ((sample_exponential_cloud(300, 1, 1.0, 11), 0.02),
+                         (sample_exponential_cloud(300, 2, 1.0, 11), 0.1)):
+            want = np.bincount(brute_force_edges(cloud, y).ravel(), minlength=cloud.n)
+            for _ in range(20):
+                summ = degree_summary(cloud, y)
+                start = threading.Barrier(8, timeout=10)
+                got = [None] * 8
+
+                def read(k):
+                    start.wait()
+                    got[k] = summ.degrees
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert all(a is got[0] for a in got)
+                assert np.array_equal(got[0], want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_handshake_and_bound_chain():
