@@ -27,6 +27,7 @@ from .experiments import (
     _json_object,
     emit,
     fmt17,
+    manifest_path_for,
     run_experiment,
     spec_from_json_file,
     write_manifest,
@@ -66,13 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit word")
-    return value
-
-
 def _int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
 
@@ -82,7 +76,7 @@ def _float_list(text: str) -> List[float]:
 
 
 # Value type of each flag; every flag not listed takes a float.
-_FLAG_TYPES = {"n": int, "d": int, "seed": _u64, "reps": int, "cases": int, "max-n": int,
+_FLAG_TYPES = {"n": int, "d": int, "seed": int, "reps": int, "cases": int, "max-n": int,
                "y-grid": _float_list}
 
 # The experiment flags that spell out a spec, which --spec replaces.
@@ -319,8 +313,9 @@ def _cmd_experiment(args) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):  # refused before any replication runs
         raise OSError(f"cannot write table to {args.out}: no directory {out_dir}")
-    if os.path.isdir(args.out):
-        raise OSError(f"cannot write table to {args.out}: it is a directory")
+    for what, path in (("table", args.out), ("manifest", manifest_path_for(args.out))):
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {what} to {path}: it is a directory")
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("EXPRGG_THREADS", "0"))

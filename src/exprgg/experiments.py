@@ -77,10 +77,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if not isinstance(self.n_list, (list, tuple, np.ndarray)):
             raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}")
-        n_list = tuple(self.n_list)
-        for n in n_list:
-            _check_int(n, "every n in n_list")
-        n_list = tuple(map(int, n_list))  # numpy integers become ints; nothing is truncated
+        n_list = tuple(_check_int(n, "every n in n_list") for n in self.n_list)
         if not n_list:
             raise ValueError("n_list must be nonempty")
         if any(n < 2 for n in n_list):
@@ -88,15 +85,12 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {n_list}")
         object.__setattr__(self, "n_list", n_list)
-        _check_dim(self.d)
-        _check_rate(self.lam)
-        _check_int(self.replications, "replications")
+        object.__setattr__(self, "d", _check_dim(self.d))
+        object.__setattr__(self, "lam", _check_rate(self.lam))
+        object.__setattr__(self, "replications", _check_int(self.replications, "replications"))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        _check_seed(self.base_seed, "base_seed")
-        for name in ("d", "replications", "base_seed"):  # numpy integers become ints
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "lam", _number(self.lam))
+        object.__setattr__(self, "base_seed", _check_seed(self.base_seed, "base_seed"))
         if kind.families:
             if not isinstance(self.family, kind.families):
                 names = " or ".join(f.__name__ for f in kind.families)

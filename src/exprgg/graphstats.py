@@ -37,18 +37,19 @@ def _last_axis_windows(cloud: PointCloud, y: float):
     return order, starts, ends
 
 
-def _column_pairs(cloud: PointCloud, y: float, span: float, windows, axes: int):
+def _column_pairs(cloud: PointCloud, y: float, windows, axes: int):
     """(members, cols, pairs) at d >= 2, from a grid of columns on the first
     d - 1 axes over the sorted ranks: the ranks in column order, the first
     ``axes`` axes gathered in that order, and ``iter_candidate_pairs`` inside
     ``windows``. Any cell width >= y finds every pair within y; a positive one
-    keeps y = 0 here even when 2^-52 of ``span``, the indexed extent, underflows."""
+    keeps y = 0 here even when 2^-52 of the indexed extent underflows."""
     order, starts, ends = windows
     ranked = cloud.points[order, :axes]
     ranked.setflags(write=False)  # so PointCloud takes it without a copy
-    index = build_grid_index(
-        PointCloud(cloud.d - 1, ranked[:, :cloud.d - 1], cloud.seed, cloud.lam),
-        max(y, span * 2**-52, math.ulp(0.0)))
+    indexed = ranked[:, :cloud.d - 1]
+    span = max(col.max() - col.min() for col in indexed.T)
+    index = build_grid_index(PointCloud(cloud.d - 1, indexed, cloud.seed, cloud.lam),
+                             max(y, span * 2**-52, math.ulp(0.0)))
     cols = ranked[index._members].T.copy()  # gathered once, in column order
     return index._members, cols, iter_candidate_pairs(index, starts, ends)
 
@@ -67,11 +68,6 @@ def _pair_distances(cols: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
 def _check_graph_size(n: int) -> None:
     if n < 2:
         raise ValueError(f"degree statistics need n >= 2 points, got {n}")
-
-
-def _summary(degrees: np.ndarray) -> DegreeSummary:
-    degrees.setflags(write=False)  # so DegreeSummary takes it without a copy
-    return DegreeSummary(degrees)
 
 
 def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
@@ -98,13 +94,14 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     # One reduction per axis column: reducing the (n, d) array over axis 0
     # is about 15x slower at d = 2.
     span = np.array([col.max() - col.min() for col in cloud.points.T])
+    # Every degree is equal in the complete and the empty graph: any map serves.
     if np.all(span <= y):
         # Complete graph: subtraction is monotone in each operand, so every
         # pair's computed distance is at most the computed span.
-        return _summary(np.full(n, n - 1, dtype=np.int64))
+        return DegreeSummary._in_rank_order(np.full(n, n - 1, dtype=np.int64), lambda: slice(None))
     windows = _last_axis_windows(cloud, y)
     if windows is None:
-        return _summary(np.zeros(n, dtype=np.int64))
+        return DegreeSummary._in_rank_order(np.zeros(n, dtype=np.int64), lambda: slice(None))
     order, starts, ends = windows
     if cloud.d == 1:
         ends -= starts
@@ -114,7 +111,7 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
         return DegreeSummary._in_rank_order(ends, lambda: np.argsort(cloud.points[:, 0]))
     # The windows hold the last axis to <= y. A chunk's positions lie at or
     # after its first left, so its tally spans only from there.
-    members, cols, pairs = _column_pairs(cloud, y, span[:-1].max(), windows, cloud.d - 1)
+    members, cols, pairs = _column_pairs(cloud, y, windows, cloud.d - 1)
     tally = np.zeros(n, dtype=np.int64)
     for left, right in pairs:
         hit = _pair_distances(cols, left, right) <= y
@@ -144,9 +141,8 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     windows = _last_axis_windows(cloud, ys[-1])
     if windows is None:
         return np.zeros(len(ys), dtype=np.int64)
-    span = max(col.max() - col.min() for col in cloud.points.T[:-1])
     bins = np.zeros(len(ys) + 1, dtype=np.int64)
-    _, cols, pairs = _column_pairs(cloud, ys[-1], span, windows, cloud.d)
+    _, cols, pairs = _column_pairs(cloud, ys[-1], windows, cloud.d)
     for left, right in pairs:
         dist = _pair_distances(cols, left, right)
         bins += np.bincount(np.searchsorted(ys, dist, "left"), minlength=len(ys) + 1)

@@ -22,10 +22,12 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check_int(value: int, what: str) -> None:
-    """Refuses bools and every non-integer, floats with integral values too."""
+def _check_int(value: int, what: str) -> int:
+    """``value`` as a Python int; refuses bools and every non-integer, floats
+    with integral values too."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _number(value: float) -> Union[int, float]:
@@ -34,21 +36,24 @@ def _number(value: float) -> Union[int, float]:
     return int(value) if isinstance(value, (int, np.integer)) else float(value)
 
 
-def _check_seed(seed: int, what: str = "seed") -> None:
-    _check_int(seed, what)
-    if not 0 <= int(seed) <= U64_MAX:
+def _check_seed(seed: int, what: str = "seed") -> int:
+    value = _check_int(seed, what)
+    if not 0 <= value <= U64_MAX:
         raise ValueError(f"{what} must fit in an unsigned 64-bit word, got {seed}")
+    return value
 
 
-def _check_rate(lam: float) -> None:
+def _check_rate(lam: float) -> Union[int, float]:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be a positive finite rate, got {lam}")
+    return _number(lam)
 
 
-def _check_dim(d: int) -> None:
-    _check_int(d, "d")
-    if d < 1:
+def _check_dim(d: int) -> int:
+    value = _check_int(d, "d")
+    if value < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    return value
 
 
 def _check_nonnegative(value: float, name: str) -> None:
@@ -77,24 +82,22 @@ class PointCloud:
             raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("a point cloud needs at least one point")
-        _check_dim(self.d)
+        object.__setattr__(self, "d", _check_dim(self.d))
         if pts.shape[1] != self.d:
             raise ValueError(
                 f"dimension mismatch: d={self.d} but points have {pts.shape[1]} coordinates"
             )
-        if not np.all(np.isfinite(pts)):
+        lo, hi = pts.min(), pts.max()  # nan propagates to both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("every coordinate must be finite")
-        if np.any(pts < 0.0):
+        if lo < 0.0:
             raise ValueError("every coordinate must be >= 0")
-        _check_rate(self.lam)
-        _check_seed(self.seed)
+        object.__setattr__(self, "lam", _check_rate(self.lam))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if pts is self.points and pts.flags.writeable:
             pts = pts.copy()  # never freeze an array the caller still owns
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "lam", _number(self.lam))
 
     @property
     def n(self) -> int:
@@ -219,11 +222,9 @@ class LogRegime:
     def __post_init__(self) -> None:
         if not self.c > 0.0:
             raise ValueError(f"c must be positive (or inf), got {self.c}")
-        _check_rate(self.lam)
-        _check_dim(self.d)
+        object.__setattr__(self, "lam", _check_rate(self.lam))
+        object.__setattr__(self, "d", _check_dim(self.d))
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "lam", _number(self.lam))
-        object.__setattr__(self, "d", int(self.d))
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,10 @@ class PowerFamily:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        _check_rate(self.lam)
-        _check_dim(self.d)
-        for name in ("alpha", "beta", "lam"):
-            object.__setattr__(self, name, _number(getattr(self, name)))
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "lam", _check_rate(self.lam))
+        object.__setattr__(self, "d", _check_dim(self.d))
+        object.__setattr__(self, "alpha", _number(self.alpha))
+        object.__setattr__(self, "beta", _number(self.beta))
 
 
 EdgeDistanceFamily = Union[LogRegime, PowerFamily]

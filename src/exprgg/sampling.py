@@ -46,11 +46,11 @@ def derive_replication_seed(base_seed: int, index: int) -> int:
     mix64 is a bijection, so distinct indices (up to 2^64 of them) always
     map to distinct seeds for a fixed base seed.
     """
-    _check_seed(base_seed, "base_seed")
-    _check_int(index, "replication index")
+    base_seed = _check_seed(base_seed, "base_seed")
+    index = _check_int(index, "replication index")
     if index < 0:
         raise ValueError(f"replication index must be >= 0, got {index}")
-    return mix64(int(base_seed) + (int(index) + 1) * GOLDEN)
+    return mix64(base_seed + (index + 1) * GOLDEN)
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -103,7 +103,7 @@ def sample_exponential_cloud(n: int, d: int, lam: float, seed: int) -> PointClou
     with np.errstate(over="ignore"):  # a subnormal lam overflows; PointCloud refuses inf
         u /= lam
     u.setflags(write=False)  # so PointCloud takes it without a copy
-    return PointCloud(d=d, points=u.reshape(n, d), seed=int(seed), lam=lam)
+    return PointCloud(d=d, points=u.reshape(n, d), seed=seed, lam=lam)
 
 
 def write_cloud(cloud: PointCloud, destination: Union[str, IO[str]]) -> None:

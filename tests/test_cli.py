@@ -616,6 +616,49 @@ def test_experiment_out_directory_refused_before_any_replication(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_experiment_manifest_directory_refused_before_any_replication(
+        tmp_path, capsys, monkeypatch):
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the manifest path was checked")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("t.csv.manifest.json")
+    code, out, err = run_cli(
+        capsys, "experiment", "edge-slln", "--d", "1", "--lambda", "1",
+        "--c", "1", "--n", "10", "--reps", "2", "--seed", "1", "--out", "t.csv",
+    )
+    assert code == 2 and out == ""
+    assert err == ("exprgg: I/O error: cannot write manifest to t.csv.manifest.json: "
+                   "it is a directory\n")
+    assert os.listdir(tmp_path) == ["t.csv.manifest.json"]
+    assert os.listdir(tmp_path / "t.csv.manifest.json") == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    "sample --n 5 --d 1 --lambda 1 --out c.txt",
+    "graph --n 5 --d 2 --lambda 1 --y 0.5",
+    "verify --cases 2 --max-n 20",
+    "experiment edge-slln --d 1 --lambda 1 --c 1 --n 10 --reps 2 --out t.csv",
+], ids=["sample", "graph", "verify", "experiment"])
+def test_out_of_range_seed_refused_in_one_line(argv, seed, tmp_path, capsys, monkeypatch):
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the seed was checked")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv.split(), "--seed", seed)
+    assert code == 1 and out == ""
+    assert re.fullmatch(
+        f"exprgg: error: (base_)?seed must fit in an unsigned 64-bit word, got {seed}\n", err)
+    assert os.listdir(tmp_path) == []
+
+
 def test_module_entry_point(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -184,9 +184,24 @@ def engine_and_oracle_summaries():
     return out
 
 
+def exact_return_summaries():
+    """(engine summary, eager summary of the oracle's degrees) at d = 1 and 2
+    for the engine's two exact returns: the empty graph at y = 0 and the
+    complete graph at y = inf."""
+    out = []
+    for d in (1, 2):
+        cloud = sample_exponential_cloud(300, d, 1.0, 11)
+        for y, degree in ((0.0, 0), (math.inf, 299)):
+            want = DegreeSummary(np.full(300, degree))
+            assert want == summary_from_edges(300, brute_force_edges(cloud, y))
+            out.append((degree_summary(cloud, y), want))
+    return out
+
+
 def test_engine_summary_matches_the_oracle_and_its_json():
     for got, want in engine_and_oracle_summaries():
         assert got.max_degree > 1
+    for got, want in engine_and_oracle_summaries() + exact_return_summaries():
         assert got == want and want == got
         text = json.dumps(to_jsonable(got))
         assert text == json.dumps(to_jsonable(want))
@@ -194,7 +209,7 @@ def test_engine_summary_matches_the_oracle_and_its_json():
 
 
 def test_engine_summary_builds_vertex_order_only_when_read():
-    for got, want in engine_and_oracle_summaries():
+    for got, want in engine_and_oracle_summaries() + exact_return_summaries():
         fields = (got.n, got.epsilon_n, got.min_degree, got.max_degree)
         assert fields == (want.n, want.epsilon_n, want.min_degree, want.max_degree)
         assert "degrees" not in vars(got)
@@ -206,7 +221,7 @@ def test_engine_summary_builds_vertex_order_only_when_read():
 
 
 def test_engine_summary_pickles_and_copies_as_its_degrees():
-    for got, want in engine_and_oracle_summaries():
+    for got, want in engine_and_oracle_summaries() + exact_return_summaries():
         for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
             again = copy_of(got)
             assert again == want and again.max_degree == want.max_degree

@@ -24,25 +24,32 @@ def test_point_cloud_valid():
     assert not cloud.points.flags.writeable
 
 
+_POINT_CLOUD_REFUSALS = [
+    (dict(d=2, points=[[0.0, 1.0], [2.5]], seed=0, lam=1.0), None),  # ragged
+    (dict(d=3, points=[[0.0, 1.0]], seed=0, lam=1.0), "dimension mismatch"),
+    (dict(d=1, points=[[-0.1]], seed=0, lam=1.0), "must be >= 0"),  # negative coordinate
+    (dict(d=1, points=[[math.inf]], seed=0, lam=1.0), "must be finite"),
+    (dict(d=1, points=np.empty((0, 1)), seed=0, lam=1.0), "at least one point"),  # n = 0
+    (dict(d=1, points=[[1.0]], seed=0, lam=0.0), "positive finite rate"),  # lam <= 0
+    (dict(d=1, points=[[1.0]], seed=0, lam=math.inf), "positive finite rate"),
+    (dict(d=1, points=[[1.0]], seed=0, lam=math.nan), "positive finite rate"),
+    (dict(d=1, points=[[1.0]], seed=-1, lam=1.0), "seed must fit"),  # bad seed
+    (dict(d=1, points=[[1.0]], seed=2**64, lam=1.0), "seed must fit"),  # seed overflow
+    (dict(d=2.0, points=[[0.0, 1.0]], seed=0, lam=1.0), "d must be an integer"),
+    (dict(d=True, points=[[0.0]], seed=0, lam=1.0), "d must be an integer"),
+    (dict(d=1, points=[[1.0], [math.nan]], seed=0, lam=1.0), "must be finite"),
+    (dict(d=1, points=[[-math.inf], [1.0]], seed=0, lam=1.0), "must be finite"),
+    # A negative and an infinite coordinate: the finiteness check comes first.
+    (dict(d=2, points=[[-1.0, 2.0], [0.5, math.inf]], seed=0, lam=1.0), "must be finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(d=2, points=[[0.0, 1.0], [2.5]], seed=0, lam=1.0),  # ragged
-        dict(d=3, points=[[0.0, 1.0]], seed=0, lam=1.0),  # d mismatch
-        dict(d=1, points=[[-0.1]], seed=0, lam=1.0),  # negative coordinate
-        dict(d=1, points=[[math.inf]], seed=0, lam=1.0),  # non-finite
-        dict(d=1, points=np.empty((0, 1)), seed=0, lam=1.0),  # n = 0
-        dict(d=1, points=[[1.0]], seed=0, lam=0.0),  # lam <= 0
-        dict(d=1, points=[[1.0]], seed=0, lam=math.inf),  # lam not finite
-        dict(d=1, points=[[1.0]], seed=0, lam=math.nan),
-        dict(d=1, points=[[1.0]], seed=-1, lam=1.0),  # bad seed
-        dict(d=1, points=[[1.0]], seed=2**64, lam=1.0),  # seed overflow
-        dict(d=2.0, points=[[0.0, 1.0]], seed=0, lam=1.0),  # d not an integer
-        dict(d=True, points=[[0.0]], seed=0, lam=1.0),
-    ],
+    "kwargs, match", _POINT_CLOUD_REFUSALS,
+    ids=[f"kwargs{i}" for i in range(len(_POINT_CLOUD_REFUSALS))],
 )
-def test_point_cloud_rejects(kwargs):
-    with pytest.raises(ValueError):
+def test_point_cloud_rejects(kwargs, match):
+    with pytest.raises(ValueError, match=match):
         PointCloud(**kwargs)
 
 
@@ -210,17 +217,25 @@ def test_json_refuses_inconsistent_derived_field(data, field):
 @pytest.mark.parametrize(
     "obj",
     [
-        sample_exponential_cloud(10, np.int64(2), 1.0, 3),
-        LogRegime(c=4.0, lam=1.0, d=np.int64(2)),
-        PowerFamily(alpha=1.0, beta=3.0, lam=1.0, d=np.int32(2)),
+        sample_exponential_cloud(10, np.int64(2), np.float32(1.5), np.uint64(3)),
+        LogRegime(c=np.float64(4.0), lam=np.float32(1.5), d=np.int64(2)),
+        PowerFamily(alpha=np.float32(1.5), beta=np.int64(3), lam=np.float64(1.5),
+                    d=np.int32(2)),
         ExperimentSpec(
-            kind="containment", n_list=(50,), d=np.int64(2), lam=1.0,
-            replications=np.int64(1), base_seed=np.uint64(2), epsilon=0.5,
+            kind="containment", n_list=np.array([50, 60]), d=np.int64(2),
+            lam=np.float32(1.5), replications=np.int64(1), base_seed=np.uint64(2),
+            epsilon=np.float32(0.5),
         ),
     ],
     ids=["PointCloud", "LogRegime", "PowerFamily", "ExperimentSpec"],
 )
 def test_numpy_integer_fields_are_stored_as_int(obj):
+    # Every numeric field, built from numpy scalars, holds a Python number.
+    for name, value in vars(obj).items():
+        for v in value if name == "n_list" else (value,):
+            if isinstance(v, (int, float, np.number)):
+                assert type(v) in (int, float), (name, type(v))
+    assert type(obj.d) is int and type(obj.lam) is float
     data = json.loads(json.dumps(to_jsonable(obj)))
-    assert type(obj.d) is int and data["d"] == 2
+    assert data["d"] == 2 and data["lambda"] == 1.5
     assert from_jsonable(data) == obj
