@@ -33,7 +33,7 @@ from .experiments import (
     write_manifest,
 )
 from .graphstats import _edge_counts_multi, degree_summary
-from .model import LogRegime, PointCloud, PowerFamily
+from .model import LogRegime, PointCloud, PowerFamily, _check_nonnegative
 from .sampling import (
     derive_replication_seed,
     sample_exponential_cloud,
@@ -129,7 +129,8 @@ _THEORY = {
     "a-min": ("degree strong-law root(s)", ("c", "lambda", "d"), _a_min_lines),
     "a-max": ("degree strong-law root(s)", ("c", "lambda", "d"),
               lambda a: [fmt17(a_max(a.c, a.lam, a.d))]),
-    "bounds": ("degree strong-law root(s)", ("c", "lambda", "d"), _bounds_lines),
+    "bounds": ("lambda^d, the degree strong-law roots and the four degree-ratio bounds",
+               ("c", "lambda", "d"), _bounds_lines),
     "radius": ("containment radius", ("n", "lambda", "d", "epsilon=0"),
                lambda a: [fmt17(containment_radius(a.n, a.lam, a.d, a.epsilon))]),
 }
@@ -186,6 +187,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    _check_nonnegative(args.y, "y")  # before the cloud is sampled
     cloud = sample_exponential_cloud(args.n, args.d, args.lam, args.seed)
     summ = degree_summary(cloud, args.y)
     cells = {

@@ -230,75 +230,61 @@ def _containment_columns(spec: ExperimentSpec, cloud: PointCloud) -> dict:
     return dict(contained=bool(cloud.points.max() <= radius))
 
 
-def _summary_degree_law(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
-    tb = theory_bounds(spec.family.c, spec.lam, spec.d)
-    mins = np.array([r.min_ratio for r in rows])
-    maxs = np.array([r.max_ratio for r in rows])
+def _summary_head(rows: List[ResultRow], *columns: str) -> dict:
+    """The opening keys of a per-n summary: n, the first row's ``columns``, the row count."""
+    return {"n": rows[0].n, **{c: getattr(rows[0], c) for c in columns}, "replications": len(rows)}
+
+
+def _stats(rows: List[ResultRow], column: str) -> dict:
+    """The mean, sd, min, max and spread of one column over n's rows."""
+    v = np.array([getattr(r, column) for r in rows])
+    stats = dict(mean=v.mean(), sd=v.std(), min=v.min(), max=v.max(), spread=v.max() - v.min())
+    return {f"{stat}_{column}": float(x) for stat, x in stats.items()}
+
+
+def _summary_degree_law(spec: ExperimentSpec, rows: List[ResultRow], theory: dict) -> dict:
     return {
-        "n": rows[0].n,
-        "y_n": rows[0].y_n,
-        "replications": len(rows),
-        "mean_min_ratio": float(mins.mean()),
-        "sd_min_ratio": float(mins.std()),
-        "min_min_ratio": float(mins.min()),
-        "max_min_ratio": float(mins.max()),
-        "spread_min_ratio": float(mins.max() - mins.min()),
-        "mean_max_ratio": float(maxs.mean()),
-        "sd_max_ratio": float(maxs.std()),
-        "min_max_ratio": float(maxs.min()),
-        "max_max_ratio": float(maxs.max()),
-        "spread_max_ratio": float(maxs.max() - maxs.min()),
-        "min_liminf_bound": tb.min_liminf_bound,
-        "min_limsup_bound": tb.min_limsup_bound,
-        "min_limsup_envelope": (2.0 * spec.lam) ** spec.d,
-        "max_liminf_bound": tb.max_liminf_bound,
-        "max_limsup_bound": tb.max_limsup_bound,
+        **_summary_head(rows, "y_n"),
+        **_stats(rows, "min_ratio"), **_stats(rows, "max_ratio"),
+        # The five bounds of the theory block, the same at every n.
+        **{k: v for k, v in theory.items() if k.endswith(("_bound", "_envelope"))},
     }
 
 
-def _summary_edge_slln(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+def _summary_edge_slln(spec: ExperimentSpec, rows: List[ResultRow], theory: dict) -> dict:
     gaps = np.array([r.gap for r in rows])
     p = rows[0].p_y
     return {
-        "n": rows[0].n,
-        "y_n": rows[0].y_n,
-        "p_y": p,
-        "replications": len(rows),
+        **_summary_head(rows, "y_n", "p_y"),
         "mean_gap": float(gaps.mean()),
         "mean_relative_gap": float(gaps.mean() / p) if p > 0 else None,
     }
 
 
-def _summary_uniform(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+def _summary_uniform(spec: ExperimentSpec, rows: List[ResultRow], theory: dict) -> dict:
     sups = np.array([r.gap for r in rows])
     return {
-        "n": rows[0].n,
-        "replications": len(rows),
+        **_summary_head(rows),
         "mean_sup_gap": float(sups.mean()),
         "max_sup_gap": float(sups.max()),
     }
 
 
-def _summary_containment(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
+def _summary_containment(spec: ExperimentSpec, rows: List[ResultRow], theory: dict) -> dict:
     n = rows[0].n
     return {
-        "n": n,
-        "replications": len(rows),
+        **_summary_head(rows),
         "radius": containment_radius(n, spec.lam, spec.d, spec.epsilon),
         "epsilon": spec.epsilon,
         "containment_frequency": sum(1 for r in rows if r.contained) / len(rows),
-        "predicted_escape_bound": min(1.0, spec.d * float(n) ** -spec.epsilon),
+        "predicted_escape_bound": theory["predicted_escape_bounds"][str(n)],
     }
 
 
-def _summary_threshold(spec: ExperimentSpec, rows: List[ResultRow]) -> dict:
-    n = rows[0].n
+def _summary_threshold(spec: ExperimentSpec, rows: List[ResultRow], theory: dict) -> dict:
     return {
-        "n": n,
-        "y_n": rows[0].y_n,
-        "p_y": rows[0].p_y,
-        "replications": len(rows),
-        "expected_edges": n * (n - 1) / 2 * rows[0].p_y,
+        **_summary_head(rows, "y_n", "p_y"),
+        "expected_edges": theory["first_moment_expected_edges"][str(rows[0].n)],
         "edge_frequency": sum(1 for r in rows if r.has_edge) / len(rows),
     }
 
@@ -339,13 +325,13 @@ def _theory_threshold(spec: ExperimentSpec) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """One experiment kind: its own row columns for a sampled cloud, the
-    summary of one n's rows, and the manifest's theory block; plus the spec
-    parameters it takes (accepted family types, none if empty; a y-grid;
-    an escape exponent epsilon) and whether its LogRegime c must be finite."""
+    """One experiment kind: its own row columns for a sampled cloud, the summary of one
+    n's rows given the theory block, and the manifest's theory block; plus the spec
+    parameters it takes (accepted family types, none if empty; a y-grid; an escape
+    exponent epsilon) and whether its LogRegime c must be finite."""
 
     columns: Callable[[ExperimentSpec, PointCloud], dict]
-    summary: Callable[[ExperimentSpec, List[ResultRow]], dict]
+    summary: Callable[[ExperimentSpec, List[ResultRow], dict], dict]
     theory: Callable[[ExperimentSpec], dict]
     families: Tuple[type, ...] = ()
     y_grid: bool = False
@@ -429,7 +415,7 @@ def run_experiment(
     return ExperimentResult(
         spec=spec,
         rows=[row for rows in per_n for row in rows],
-        summaries=[kind.summary(spec, rows) for rows in per_n],
+        summaries=[kind.summary(spec, rows, theory) for rows in per_n],
         theory=theory,
     )
 

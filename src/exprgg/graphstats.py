@@ -86,7 +86,8 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     Degrees are counted in the order of the last-axis ranks and stay there:
     the edge count and the extremes need no vertex order. The summary maps
     them to vertex order only if its ``degrees`` is read, with a fresh
-    argsort of the axis at d = 1 and the vertices in column order at d >= 2.
+    argsort of the last axis: at d >= 2 that is the engine's own order, since
+    argsort gives the same answer for the same input.
     """
     n = cloud.n
     _check_graph_size(n)
@@ -94,21 +95,21 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     # One reduction per axis column: reducing the (n, d) array over axis 0
     # is about 15x slower at d = 2.
     span = np.array([col.max() - col.min() for col in cloud.points.T])
-    # Every degree is equal in the complete and the empty graph: any map serves.
+    key = cloud.points[:, -1]
     if np.all(span <= y):
         # Complete graph: subtraction is monotone in each operand, so every
         # pair's computed distance is at most the computed span.
-        return DegreeSummary._in_rank_order(np.full(n, n - 1, dtype=np.int64), lambda: slice(None))
+        return DegreeSummary._in_rank_order(np.full(n, n - 1, dtype=np.int64), key)
     windows = _last_axis_windows(cloud, y)
     if windows is None:
-        return DegreeSummary._in_rank_order(np.zeros(n, dtype=np.int64), lambda: slice(None))
-    order, starts, ends = windows
+        return DegreeSummary._in_rank_order(np.zeros(n, dtype=np.int64), key)
+    _, starts, ends = windows
     if cloud.d == 1:
         ends -= starts
         ends -= 1  # the window less the vertex itself
         # Equal coordinates get equal windows, so any sorting permutation
         # maps these ranks to their vertices.
-        return DegreeSummary._in_rank_order(ends, lambda: np.argsort(cloud.points[:, 0]))
+        return DegreeSummary._in_rank_order(ends, key)
     # The windows hold the last axis to <= y. A chunk's positions lie at or
     # after its first left, so its tally spans only from there.
     members, cols, pairs = _column_pairs(cloud, y, windows, cloud.d - 1)
@@ -119,9 +120,9 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
         for side in (left[hit], right[hit]):
             counts = np.bincount(side - lo)
             tally[lo:lo + len(counts)] += counts
-    # Gathered now, so the summary holds one n-sized map, not order and members.
-    vertex = order[members]
-    return DegreeSummary._in_rank_order(tally, lambda: vertex)
+    ranked = np.empty_like(tally)
+    ranked[members] = tally  # members are the ranks in column order
+    return DegreeSummary._in_rank_order(ranked, key)
 
 
 def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -128,9 +128,9 @@ class DegreeSummary:
     builds its summaries with ``_in_rank_order``. No check and no derived
     field depends on vertex order, so all of them come from the rank-order
     degrees, and the per-vertex ``degrees`` array is built only when it is
-    first read. Until then the summary keeps what the rank-to-vertex map
-    needs (the cloud at d = 1, the gathered map at d >= 2); from then on it
-    holds only the per-vertex array, as one built from ``degrees`` does.
+    first read, through a fresh argsort of the cloud's last axis. Until then
+    the summary keeps a view of that column, and so the cloud's points; from
+    then on it holds only the per-vertex array, as one built from ``degrees`` does.
     Threads that race on that first read each build an equal array, and
     every one of them returns the array stored first. A summary pickles and
     copies as ``DegreeSummary(degrees)``.
@@ -149,15 +149,13 @@ class DegreeSummary:
         object.__setattr__(self, "degrees", deg)
 
     @classmethod
-    def _in_rank_order(
-        cls, ranked: np.ndarray, vertex_of: Callable[[], np.ndarray]
-    ) -> "DegreeSummary":
+    def _in_rank_order(cls, ranked: np.ndarray, key: np.ndarray) -> "DegreeSummary":
         """The summary of int64 degrees listed by rank: ``ranked[r]`` is the
-        degree of vertex ``vertex_of()[r]``. ``ranked`` is frozen in place, and
-        ``vertex_of`` is called on the first read of ``degrees``."""
+        degree of vertex ``np.argsort(key)[r]``. ``ranked`` is frozen in place,
+        and the argsort runs on the first read of ``degrees``."""
         summary = cls.__new__(cls)
         summary._derive(ranked)
-        object.__setattr__(summary, "_vertex_of", vertex_of)
+        object.__setattr__(summary, "_rank_key", key)
         return summary
 
     def _derive(self, deg: np.ndarray) -> None:
@@ -181,15 +179,15 @@ class DegreeSummary:
         if name != "degrees":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         state = vars(self)
-        vertex_of = state.get("_vertex_of")
-        if vertex_of is not None:  # else a racing first read has stored it
+        key = state.get("_rank_key")
+        if key is not None:  # else a racing first read has stored it
             deg = np.empty_like(self._ranked)
-            deg[vertex_of()] = self._ranked
+            deg[np.argsort(key)] = self._ranked
             deg.setflags(write=False)
             # setdefault is atomic, so racing first reads all return one
-            # array; the map and the rank-order array go once it is stored.
+            # array; the key and the rank-order array go once it is stored.
             deg = state.setdefault("degrees", deg)
-            state.pop("_vertex_of", None)
+            state.pop("_rank_key", None)
             state["_ranked"] = deg
         return state["degrees"]
 

@@ -440,20 +440,19 @@ def test_experiment_writes_table_and_manifest(tmp_path, capsys):
     assert data["output"]["format"] == "csv"
 
 
-def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path, capsys):
-    first = tmp_path / "a.csv"
-    run_cli(
-        capsys, "experiment", "threshold", "--d", "1", "--lambda", "1",
-        "--alpha", "1", "--beta", "3", "--n", "150", "--reps", "4",
-        "--seed", "7", "--out", str(first),
-    )
-    second = tmp_path / "b.csv"
-    code, _, _ = run_cli(
-        capsys, "experiment", "threshold", "--spec",
-        str(tmp_path / "a.csv.manifest.json"), "--out", str(second),
-    )
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in KIND_GOLDEN.values()], ids=KIND_GOLDEN)
+def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "experiment", *argv.split(), "--reps", "2", "--seed", "7",
+                         "--out", "a.csv")
     assert code == 0
-    assert first.read_bytes() == second.read_bytes()
+    code, _, _ = run_cli(capsys, "experiment", argv.split()[0], "--spec", "a.csv.manifest.json",
+                         "--out", "b.csv")
+    assert code == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    first, second = ((tmp_path / f"{out}.manifest.json").read_text() for out in ("a.csv", "b.csv"))
+    assert first.count('"path": "a.csv"') == 1
+    assert second == first.replace('"path": "a.csv"', '"path": "b.csv"')
 
 
 def test_experiment_threads_flag_is_inert(tmp_path, capsys):
@@ -657,6 +656,20 @@ def test_out_of_range_seed_refused_in_one_line(argv, seed, tmp_path, capsys, mon
     assert re.fullmatch(
         f"exprgg: error: (base_)?seed must fit in an unsigned 64-bit word, got {seed}\n", err)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("y", ["nan", "-1"])
+def test_graph_bad_y_refused_before_sampling(y, capsys, monkeypatch):
+    from exprgg import cli
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before y was checked")
+
+    monkeypatch.setattr(cli, "sample_exponential_cloud", no_sampling)
+    code, out, err = run_cli(capsys, "graph", "--n", "5", "--d", "2", "--lambda", "1",
+                             "--y", y, "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == f"exprgg: error: y must be >= 0, got {float(y)}\n"
 
 
 def test_module_entry_point(tmp_path):

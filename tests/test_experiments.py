@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,29 @@ def test_threshold_rows_and_manifest_oracle():
         assert row.has_edge == (row.epsilon_n >= 1)
 
 
+def test_per_n_predictions_equal_the_theory_block():
+    specs = (
+        small_spec(d=2, family=LogRegime(c=4.0, lam=1.0, d=2)),
+        small_spec("containment", family=None, epsilon=0.5),
+        small_spec("threshold", family=PowerFamily(alpha=1.0, beta=1.5, lam=1.0, d=1)),
+    )
+    bounds = ("min_liminf_bound", "min_limsup_bound", "min_limsup_envelope",
+              "max_liminf_bound", "max_limsup_bound")
+    for spec in specs:
+        manifest = build_manifest(run_experiment(spec), "t.csv", "csv")
+        theory = manifest["theory"]
+        assert [s["n"] for s in manifest["summary"]] == list(spec.n_list)
+        for summary in manifest["summary"]:
+            n = str(summary["n"])
+            if spec.kind == "degree-law":
+                want = {name: theory[name] for name in bounds}
+            elif spec.kind == "containment":
+                want = {"predicted_escape_bound": theory["predicted_escape_bounds"][n]}
+            else:
+                want = {"expected_edges": theory["first_moment_expected_edges"][n]}
+            assert {key: summary[key] for key in want} == want, spec.kind
+
+
 def test_rows_satisfy_degree_invariants_where_populated():
     spec = small_spec(n_list=(60, 140), replications=3)
     for row in run_experiment(spec).rows:
@@ -310,7 +334,7 @@ def test_manifest_round_trip(tmp_path):
     out = tmp_path / "rows.csv"
     emit(res.rows, "csv", str(out))
     manifest_path = write_manifest(res, str(out), "csv")
-    data = json.loads(open(manifest_path).read())
+    data = json.loads(Path(manifest_path).read_text())
     assert data["artifact"]["name"] == "exprgg"
     assert data["artifact"]["version"] == exprgg.__version__
     assert data["output"]["rows"] == 2

@@ -163,15 +163,22 @@ def test_d1_degrees_in_vertex_order_under_heavy_ties():
     # The d = 1 engine counts in sorted-value order and maps its ranks back
     # with a fresh argsort, which may order a run of equal coordinates
     # differently: every vertex of the run must still get the run's degree.
+    # At d >= 2 degrees differ within a run of equal last coordinates, so the
+    # fresh argsort must repeat the engine's own order exactly.
     cloud = sample_exponential_cloud(600, 1, 1.0, 8)
     snapped = make_cloud(np.floor(4 * cloud.points) / 4)
     equal = make_cloud(np.full(50, 1.25))
     equal_but_one = make_cloud(np.append(np.full(50, 1.25), 3.0))
-    for c, ys in ((snapped, (0.0, 0.25, 0.5, 0.6)), (cloud, (0.0, 0.01, 0.05)),
-                  (equal, (0.0, 1.0)), (equal_but_one, (0.0, 1.0))):
+    cases = [(snapped, (0.0, 0.25, 0.5, 0.6)), (cloud, (0.0, 0.01, 0.05)),
+             (equal, (0.0, 1.0)), (equal_but_one, (0.0, 1.0))]
+    for d in (2, 3):
+        points = sample_exponential_cloud(600, d, 1.0, 8).points.copy()
+        points[:, -1] = np.floor(4 * points[:, -1]) / 4  # only the last axis ties
+        cases.append((make_cloud(points), (0.0, 0.05, 0.25, 0.3, 0.6)))
+    for c, ys in cases:
         for y in ys:
             want = np.bincount(brute_force_edges(c, y).ravel(), minlength=c.n)
-            assert np.array_equal(degree_summary(c, y).degrees, want), (c.n, y)
+            assert np.array_equal(degree_summary(c, y).degrees, want), (c.d, c.n, y)
 
 
 def engine_and_oracle_summaries():
@@ -217,7 +224,7 @@ def test_engine_summary_builds_vertex_order_only_when_read():
         assert "degrees" in vars(got) and got.degrees is first
         assert not first.flags.writeable
         # Once built, the summary holds only the per-vertex array.
-        assert "_vertex_of" not in vars(got) and got._ranked is first
+        assert "_rank_key" not in vars(got) and got._ranked is first
 
 
 def test_engine_summary_pickles_and_copies_as_its_degrees():
