@@ -6,10 +6,10 @@ The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 (IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
 has to scan the 3^d cells around a point. For every d, each cell has one
 int64 key, so one sorted key array and one ``searchsorted`` serve every cell
-lookup. The index stores only its cells. One walk matches the occupied cells
-offset by offset when a consumer needs them: pair enumeration one offset at a
-time, and a single-point query once, on its first call, keeping the key
-deltas it matched.
+lookup. The index stores only its cells and the key delta of each of the
+3^d offsets. Pair enumeration walks the occupied cells one offset at a time;
+a single-point query looks up its own cell and its 3^d - 1 neighbour cells at
+once, and walks nothing.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
@@ -25,13 +25,12 @@ per chunk, not O(n) or O(pairs).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator, List, Set, Tuple
 
 import numpy as np
 
-from .model import PointCloud, _check_nonnegative
+from .model import PointCloud, _check_int, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
@@ -74,10 +73,7 @@ class GridIndex:
     requested width unless the keys would overflow int64; then it is the
     coarser width actually used (see ``_fit_cells``).
 
-    It stores its cells and the key delta of each neighbour offset, and keeps
-    no result of a walk but one: the first point query finds the matched
-    offsets and keeps them. Queries are safe to run concurrently; two first
-    queries that race both write the same value.
+    It stores its cells and the key delta of each neighbour offset.
     """
 
     def __init__(self, cloud: PointCloud, cell_size: float):
@@ -117,13 +113,6 @@ class GridIndex:
         """Group ids of cell keys, -1 where the cell is unoccupied."""
         pos = np.minimum(np.searchsorted(self._cell_keys, keys), self.n_cells - 1)
         return np.where(self._cell_keys[pos] == keys, pos, -1)
-
-    @functools.cached_property
-    def _matched_offsets(self) -> np.ndarray:
-        """0 and +-delta of each offset ``_blocks`` matches: the only key
-        deltas between occupied cells."""
-        found = np.array([delta for delta, _, _ in _blocks(self)], dtype=np.int64)
-        return np.concatenate((found, -found[1:]))
 
 
 def build_grid_index(cloud: PointCloud, cell_size: float) -> GridIndex:
@@ -229,7 +218,7 @@ def iter_matched_blocks(index: GridIndex) -> Iterator[Tuple[np.ndarray, np.ndarr
 def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
     """Vertex ids j != i with ||X_i - X_j||_inf <= y (boundary inclusive).
 
-    Requires y <= cell_size so i's cell and its matched neighbour cells hold them all.
+    Requires y <= cell_size so i's cell and its 3^d - 1 neighbour cells hold them all.
     """
     return set(_neighbor_ids(index, i, y).tolist())
 
@@ -237,6 +226,7 @@ def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
 def _neighbor_ids(index: GridIndex, i: int, y: float) -> np.ndarray:
     """``neighbors_within`` as an ascending int64 array."""
     n = index.cloud.n
+    i = _check_int(i, "vertex id")
     if not 0 <= i < n:
         raise IndexError(f"vertex id {i} out of range for n={n}")
     _check_nonnegative(y, "y")
@@ -244,7 +234,7 @@ def _neighbor_ids(index: GridIndex, i: int, y: float) -> np.ndarray:
         raise ValueError(
             f"y={y} exceeds cell_size={index.cell_size}; rebuild the index"
         )
-    groups = index._groups_of(index._vertex_keys[i] + index._matched_offsets)
+    groups = index._groups_of(index._vertex_keys[i] + index._offset_keys)
     cand = np.concatenate([index.members(g) for g in groups[groups >= 0]])
     near = np.abs(index.cloud.points[cand] - index.cloud.points[i]) <= y
     # Rows of a contiguous (d, k) copy reduce several times faster than (k, d).

@@ -15,6 +15,7 @@ from exprgg import (
     build_grid_index,
     neighbors_within,
     sample_exponential_cloud,
+    spatial,
 )
 from exprgg.sampling import derive_replication_seed, uniform_stream
 from exprgg.spatial import (
@@ -89,12 +90,27 @@ def test_neighbors_never_returns_self():
 
 
 def test_neighbors_found_at_a_lexicographically_negative_offset():
-    # Cell (0, 1) lies at offset (-1, +1) from cell (1, 0): the index matched
-    # that pair at the positive offset (+1, -1), from (0, 1)'s side.
+    # Cell (0, 1) lies at offset (-1, +1) from cell (1, 0), an offset whose
+    # key delta is negative; a query looks it up like any other.
     index = build_grid_index(make_cloud([[1.5, 0.5], [0.5, 1.5], [5.0, 5.0]]), 1.0)
     assert neighbors_within(index, 0, 1.0) == {1}
     assert neighbors_within(index, 1, 1.0) == {0}
     assert neighbors_within(index, 0, 0.5) == set()
+
+
+def test_point_query_walks_no_cells(monkeypatch):
+    # A query looks its neighbour keys up directly; the offset walk serves
+    # pair enumeration only.
+    def no_walk(index):
+        raise AssertionError("a point query walked the cell offsets")
+
+    monkeypatch.setattr(spatial, "_blocks", no_walk)
+    for d in (3, 12):
+        cloud = sample_exponential_cloud(60, d, 1.0, seed=d)
+        index = build_grid_index(cloud, 1.0)
+        ids = [_neighbor_ids(index, i, 1.0).tolist() for i in range(cloud.n)]
+        got = [[i, j] for i in range(cloud.n) for j in ids[i] if i < j]
+        assert got == brute_force_edges(cloud, 1.0).tolist(), d
 
 
 def test_neighbors_rejects_bad_queries():
@@ -102,6 +118,10 @@ def test_neighbors_rejects_bad_queries():
     index = build_grid_index(cloud, 0.5)
     with pytest.raises(IndexError):
         neighbors_within(index, 5, 0.1)
+    for bad in (True, False, 1.0, np.float64(2.0), "1"):
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            neighbors_within(index, bad, 0.1)
+    assert neighbors_within(index, np.int64(1), 0.5) == set()
     with pytest.raises(ValueError):
         neighbors_within(index, 0, 0.75)  # y > cell_size
     with pytest.raises(ValueError, match="y must be >= 0, got nan"):
@@ -134,9 +154,9 @@ def test_grid_matches_brute_force_on_random_clouds():
         realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
         cases += [(cloud, y), (cloud, realised)]
     cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in ys]
-    # Many axes, each cloud with edges at y = 1: the offsets a first query
-    # matches are hundreds of the 3^d, on both sides of offset 0.
-    many_axes = [sample_exponential_cloud(60, d, 1.0, seed=d) for d in (6, 7, 8)]
+    # Many axes, each cloud with edges at y = 1, up to the 12-axis cap, where
+    # a query looks up 3^12 neighbour keys and finds nearly all unoccupied.
+    many_axes = [sample_exponential_cloud(60, d, 1.0, seed=d) for d in (6, 7, 8, 12)]
     assert all(len(brute_force_edges(cloud, 1.0)) for cloud in many_axes)
     cases += [(cloud, 1.0) for cloud in many_axes]
     mismatches = []
