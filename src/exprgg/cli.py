@@ -10,6 +10,7 @@ progress goes to the error stream.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -56,6 +57,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_MISMATCH = 3
+
+# mallopt(3) parameters, and the ceiling glibc's own dynamic mmap threshold
+# reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX); its trim threshold follows
+# at twice the mmap threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,7 +329,11 @@ def _cmd_experiment(args) -> int:
             raise OSError(f"cannot write {what} to {path}: it is a directory")
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("EXPRGG_THREADS", "0"))
+        text = os.environ.get("EXPRGG_THREADS", "0")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise ValueError(f"EXPRGG_THREADS must be an integer, got {text!r}") from None
     result = run_experiment(
         spec, threads=threads, progress=lambda line: print(line, file=sys.stderr)
     )
@@ -330,7 +343,31 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _keep_freed_memory() -> None:
+    """Keep the memory one replication frees mapped for the next one.
+
+    Every replication allocates and frees the same O(n) numpy temporaries.
+    By default glibc trims the heap top, or unmaps a block above its mmap
+    threshold, when they are freed, so the next replication faults the same
+    pages in again. Pinning both thresholds at the ceilings that glibc's
+    dynamic rule reaches keeps them. This acts on the process allocator, so
+    only the command-line entry point calls it; it does nothing where the C
+    library has no ``mallopt`` (macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: CDLL(None) on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # Setting the trim threshold alone would switch off the dynamic mmap
+    # threshold, so it is set only once the mmap threshold has been accepted.
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

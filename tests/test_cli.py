@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -176,6 +177,10 @@ KIND_GOLDEN = {
 
 @pytest.mark.parametrize("argv, table, manifest", KIND_GOLDEN.values(), ids=KIND_GOLDEN)
 def test_kind_golden_bytes(tmp_path, monkeypatch, capsys, argv, table, manifest):
+    assert_kind_golden(tmp_path, monkeypatch, capsys, argv, table, manifest)
+
+
+def assert_kind_golden(tmp_path, monkeypatch, capsys, argv, table, manifest):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, "experiment", *argv.split(), "--reps", "2", "--seed", "7",
                          "--out", "t.csv")
@@ -456,27 +461,87 @@ def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path, monkeypatch,
 
 
 def test_experiment_threads_flag_is_inert(tmp_path, capsys):
-    argv = [
-        "experiment", "degree-law", "--d", "1", "--lambda", "1", "--c", "4",
-        "--n", "100,200", "--reps", "6", "--seed", "42", "--format", "json",
+    cases = [
+        ("degree-law --d 1 --lambda 1 --c 4 --n 100,200 --reps 6 --seed 42 --format json", "8"),
+        # Arrays of n = 20000 floats, each replication's freed memory kept for the next.
+        ("edge-slln --d 2 --lambda 1 --c 2 --n 20000 --reps 4 --seed 42", "2"),
     ]
-    one = tmp_path / "one.json"
-    eight = tmp_path / "eight.json"
-    assert run_cli(capsys, *argv, "--out", str(one), "--threads", "1")[0] == 0
-    assert run_cli(capsys, *argv, "--out", str(eight), "--threads", "8")[0] == 0
-    assert one.read_bytes() == eight.read_bytes()
+    for case, (argv, threads) in enumerate(cases):
+        one = tmp_path / f"one{case}.out"
+        many = tmp_path / f"many{case}.out"
+        assert run_cli(capsys, "experiment", *argv.split(), "--out", str(one),
+                       "--threads", "1")[0] == 0
+        assert run_cli(capsys, "experiment", *argv.split(), "--out", str(many),
+                       "--threads", threads)[0] == 0
+        assert one.read_bytes() == many.read_bytes()
+
+
+CONTAINMENT_ARGV = ("experiment containment --d 2 --lambda 1 --n 100 --reps 3 --seed 1 "
+                    "--epsilon 0.5").split()
 
 
 def test_experiment_env_var_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EXPRGG_THREADS", "4")
+    for value in ("4", " 2"):
+        monkeypatch.setenv("EXPRGG_THREADS", value)
+        out = tmp_path / f"env{value.strip()}.csv"
+        code, _, _ = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out))
+        assert code == 0
+        assert out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["abc", "1.5", "empty"])
+def test_experiment_env_var_threads_must_be_an_integer(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("EXPRGG_THREADS", value)
     out = tmp_path / "env.csv"
-    code, _, _ = run_cli(
-        capsys, "experiment", "containment", "--d", "2", "--lambda", "1",
-        "--n", "100", "--reps", "3", "--seed", "1", "--epsilon", "0.5",
-        "--out", str(out),
+    code, _, err = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out))
+    assert (code, err) == (1, f"exprgg: error: EXPRGG_THREADS must be an integer, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_experiment_reuses_freed_pages(tmp_path):
+    # Each degree-d1 replication frees O(n) numpy temporaries that the next one
+    # allocates again. With glibc's default thresholds they go back to the
+    # kernel and the run takes over 11,000 minor faults; kept, about 1,700.
+    script = (
+        "import resource, sys\n"
+        "from exprgg import cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "print(code, faults, file=sys.stderr)\n"
     )
+    argv = ("experiment degree-law --d 1 --lambda 1 --c 4 --n 100000 --reps 6 --seed 42 "
+            "--threads 1").split()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "t.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, faults = map(int, proc.stderr.splitlines()[-1].split())
     assert code == 0
-    assert out.exists()
+    assert faults < 4000
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def _windows_cdll(name):
+    raise TypeError("argument of type 'NoneType' is not iterable")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _windows_cdll, lambda name: object()],
+                         ids=["no-libc", "windows", "no-mallopt"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, capsys, cdll):
+    import ctypes
+
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
+    assert_kind_golden(tmp_path, monkeypatch, capsys, *KIND_GOLDEN["degree-law-d1"])
+    assert calls == [None]
 
 
 def test_experiment_missing_family_exits_one(tmp_path, capsys):
