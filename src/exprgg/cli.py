@@ -334,6 +334,8 @@ def _cmd_experiment(args) -> int:
             threads = int(text)
         except ValueError:
             raise ValueError(f"EXPRGG_THREADS must be an integer, got {text!r}") from None
+        if threads < 0:
+            raise ValueError(f"EXPRGG_THREADS must be >= 0, got {threads}")
     result = run_experiment(
         spec, threads=threads, progress=lambda line: print(line, file=sys.stderr)
     )

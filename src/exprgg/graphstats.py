@@ -10,7 +10,12 @@ from typing import Tuple
 import numpy as np
 
 from .model import DegreeSummary, PointCloud, _check_dim, _check_nonnegative
-from .spatial import build_grid_index, iter_candidate_pairs, sorted_window_ends
+from .spatial import (
+    _same_cell_runs,
+    build_grid_index,
+    iter_candidate_pairs,
+    sorted_window_ends,
+)
 from .theory import pair_connect_prob
 
 
@@ -29,21 +34,19 @@ def _last_axis_windows(cloud: PointCloud, y: float):
     else:
         order = np.argsort(cloud.points[:, -1])
         xs = cloud.points[order, -1]
-    if not np.any(xs[1:] - xs[:-1] <= y):
-        return None
     ends = sorted_window_ends(xs, y)
+    if ends is None:
+        return None
     del xs  # n floats fewer while starts is counted
     starts = np.cumsum(np.bincount(ends, minlength=cloud.n + 1)[:cloud.n])
     return order, starts, ends
 
 
-def _column_pairs(cloud: PointCloud, y: float, windows, axes: int):
-    """(members, cols, pairs) at d >= 2, from a grid of columns on the first
-    d - 1 axes over the sorted ranks: the ranks in column order, the first
-    ``axes`` axes gathered in that order, and ``iter_candidate_pairs`` inside
-    ``windows``. Any cell width >= y finds every pair within y; a positive one
+def _column_grid(cloud: PointCloud, y: float, order: np.ndarray, axes: int):
+    """(index, cols) at d >= 2: a grid of columns on the first d - 1 axes over
+    the sorted ranks, and the first ``axes`` axes gathered in its column
+    order. Any cell width >= y finds every pair within y; a positive one
     keeps y = 0 here even when 2^-52 of the indexed extent underflows."""
-    order, starts, ends = windows
     ranked = cloud.points[order, :axes]
     ranked.setflags(write=False)  # so PointCloud takes it without a copy
     indexed = ranked[:, :cloud.d - 1]
@@ -51,7 +54,7 @@ def _column_pairs(cloud: PointCloud, y: float, windows, axes: int):
     index = build_grid_index(PointCloud(cloud.d - 1, indexed, cloud.seed, cloud.lam),
                              max(y, span * 2**-52, math.ulp(0.0)))
     cols = ranked[index._members].T.copy()  # gathered once, in column order
-    return index._members, cols, iter_candidate_pairs(index, starts, ends)
+    return index, cols
 
 
 def _pair_distances(cols: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -81,7 +84,10 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     with no pair enumerated. At d >= 2 degrees are tallied from the candidate
     pairs inside the windows in the same or adjacent columns of a grid on the
     other axes, in vectorized chunks; memory stays O(n) plus one bounded
-    chunk. y = 0 takes the same paths as any other y.
+    chunk. A column whose extent on every other axis is within y joins each
+    pair of its members inside a window, so its own pairs are counted from
+    their runs and only the others are enumerated. y = 0 takes the same paths
+    as any other y.
 
     Degrees are counted in the order of the last-axis ranks and stay there:
     the edge count and the extremes need no vertex order. The summary maps
@@ -103,25 +109,46 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     windows = _last_axis_windows(cloud, y)
     if windows is None:
         return DegreeSummary._in_rank_order(np.zeros(n, dtype=np.int64), key)
-    _, starts, ends = windows
+    order, starts, ends = windows
     if cloud.d == 1:
         ends -= starts
         ends -= 1  # the window less the vertex itself
         # Equal coordinates get equal windows, so any sorting permutation
         # maps these ranks to their vertices.
         return DegreeSummary._in_rank_order(ends, key)
-    # The windows hold the last axis to <= y. A chunk's positions lie at or
-    # after its first left, so its tally spans only from there.
-    members, cols, pairs = _column_pairs(cloud, y, windows, cloud.d - 1)
-    tally = np.zeros(n, dtype=np.int64)
-    for left, right in pairs:
+    # The windows hold the last axis to <= y. A cell whose extent is within
+    # y on every other axis joins every same-cell pair inside a window:
+    # subtraction is monotone, so no pair's computed distance exceeds the
+    # computed extent. Its pairs are counted from their runs, not enumerated.
+    index, cols = _column_grid(cloud, y, order, cloud.d - 1)
+    firsts = index._starts[:-1]
+    counted = np.ones(index.n_cells, dtype=bool)
+    for col in cols:
+        counted &= np.maximum.reduceat(col, firsts) - np.minimum.reduceat(col, firsts) <= y
+    left, stop = _same_cell_runs(index, ends, counted)
+    # A position gets +1 from every run it lies in: +1 where a run starts and
+    # -1 where it stops, summed up to it...
+    inside = np.bincount(left + 1, minlength=n + 1)
+    inside -= np.bincount(stop, minlength=n + 1)
+    tally = np.cumsum(inside[:n])
+    stop -= left
+    stop -= 1
+    tally[left] += stop  # ...and the length of its own run
+    del left, stop, inside
+    # The other pairs are enumerated. A chunk's left positions ascend, so
+    # they are tallied per run of equal ones; its right positions lie after
+    # its first left, so their tally spans only from there.
+    for left, right in iter_candidate_pairs(index, starts, ends, counted=counted):
         hit = _pair_distances(cols, left, right) <= y
+        first = np.flatnonzero(np.concatenate(([True], left[1:] != left[:-1])))
+        tally[left[first]] += np.add.reduceat(hit, first, dtype=np.int64)
         lo = int(left[0])
-        for side in (left[hit], right[hit]):
-            counts = np.bincount(side - lo)
-            tally[lo:lo + len(counts)] += counts
+        # Weights, not right[hit]: a mask that keeps about half of a chunk
+        # compresses several times slower than bincount weighs it.
+        counts = np.bincount(right - lo, weights=hit).astype(np.int64)
+        tally[lo:lo + len(counts)] += counts
     ranked = np.empty_like(tally)
-    ranked[members] = tally  # members are the ranks in column order
+    ranked[index._members] = tally  # members are the ranks in column order
     return DegreeSummary._in_rank_order(ranked, key)
 
 
@@ -138,13 +165,20 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     if cloud.d == 1:
         xs = np.sort(cloud.points[:, 0])
         starts = cloud.n * (cloud.n + 1) // 2  # the forward windows start at 1..n
-        return np.array([sorted_window_ends(xs, y).sum() - starts for y in ys])
+        edges = np.zeros(len(ys), dtype=np.int64)
+        for k, y in enumerate(ys):
+            ends = sorted_window_ends(xs, y)
+            if ends is not None:
+                edges[k] = ends.sum() - starts
+            del ends  # before the next search allocates its own: 0.4 MB of peak
+        return edges
     windows = _last_axis_windows(cloud, ys[-1])
     if windows is None:
         return np.zeros(len(ys), dtype=np.int64)
     bins = np.zeros(len(ys) + 1, dtype=np.int64)
-    _, cols, pairs = _column_pairs(cloud, ys[-1], windows, cloud.d)
-    for left, right in pairs:
+    order, starts, ends = windows
+    index, cols = _column_grid(cloud, ys[-1], order, cloud.d)
+    for left, right in iter_candidate_pairs(index, starts, ends):
         dist = _pair_distances(cols, left, right)
         bins += np.bincount(np.searchsorted(ys, dist, "left"), minlength=len(ys) + 1)
     return np.cumsum(bins[:-1])

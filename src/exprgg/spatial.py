@@ -6,9 +6,11 @@ The grid is the fixed-radius cell method of Bentley, Stanat & Williams
 (IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
 has to scan the 3^d cells around a point. For every d, each cell has one
 int64 key, so one sorted key array and one ``searchsorted`` serve every cell
-lookup. The index stores only its cells and the key delta of each of the
-3^d offsets. Pair enumeration walks the occupied cells one offset at a time;
-a single-point query looks up its own cell and its 3^d - 1 neighbour cells at
+lookup. The index groups its vertices with one ``np.sort`` of the int64
+``key * n + id``, which orders them as a stable sort of the keys would, and
+stores its cells, that sorted array and the key delta of each of the 3^d
+offsets. Pair enumeration walks the occupied cells one offset at a time; a
+single-point query looks up its own cell and its 3^d - 1 neighbour cells at
 once, and walks nothing.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
@@ -20,13 +22,15 @@ axes only, so its cells are columns. Candidate pairs are then member
 positions in column order, each paired only with the members of its own and
 adjacent columns inside its last-axis window, expanded from contiguous runs
 in vectorized chunks; the Python-level work is O(3^(d-1)) steps plus one
-per chunk, not O(n) or O(pairs).
+per chunk, not O(n) or O(pairs). The degree pass counts the same-column pairs
+of a column whose extent is within y on every indexed axis from their runs
+(``_same_cell_runs``) and enumerates only the rest.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -43,20 +47,21 @@ def _fit_cells(points: np.ndarray, cell_size: float) -> Tuple[np.ndarray, float,
     on every axis, the cell width used, and the per-axis key radix (occupied
     span plus a one-cell margin on each side, so +-1 neighbours have keys).
 
-    The width is ``cell_size`` unless that grid's keys would overflow int64,
-    where two cells could share a key. Then the width grows until the exact
-    radix product fits. Any width >= the query radius yields a superset of
-    the candidate pairs, and callers filter by distance, so coarsening never
+    The width is ``cell_size`` unless the radix product times the point
+    count would overflow int64: every ``key * n + id`` must fit, or two
+    vertices could share a sort key. Then the width grows until the exact
+    product fits. Any width >= the query radius yields a superset of the
+    candidate pairs, and callers filter by distance, so coarsening never
     changes a result.
     """
-    d = points.shape[1]
+    n, d = points.shape
     while True:
         scaled = np.floor(points / cell_size)
         if float(scaled.max()) < _COORD_LIMIT:
             coords = scaled.astype(np.int64)
             lo = coords.min(axis=0) - 1
             radix = [int(h) - int(l) + 2 for l, h in zip(lo, coords.max(axis=0))]
-            excess = math.prod(radix).bit_length() - 63
+            excess = (math.prod(radix) * n).bit_length() - 63
             if excess <= 0:
                 return coords - lo, cell_size, radix
             cell_size *= 2.0 ** max(1.0, excess / d)
@@ -73,7 +78,8 @@ class GridIndex:
     requested width unless the keys would overflow int64; then it is the
     coarser width actually used (see ``_fit_cells``).
 
-    It stores its cells and the key delta of each neighbour offset.
+    It stores its cells, its members' ``key * n + id`` in ascending order
+    and the key delta of each neighbour offset.
     """
 
     def __init__(self, cloud: PointCloud, cell_size: float):
@@ -86,13 +92,16 @@ class GridIndex:
         keys = shifted[:, 0]
         for k in range(1, cloud.d):
             keys = keys * radix[k] + shifted[:, k]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        n = cloud.n
+        # One sort of key * n + id orders the vertices by cell and, within a
+        # cell, by id: the order of a stable argsort of the keys, several
+        # times faster than that argsort and its gather.
+        self._member_keys = np.sort(keys * n + np.arange(n))
+        sorted_keys, self._members = np.divmod(self._member_keys, n)  # ids grouped by cell
         boundaries = np.flatnonzero(
             np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
         )
-        self._members = order  # vertex ids grouped by cell
-        self._starts = np.concatenate((boundaries, [len(order)]))
+        self._starts = np.concatenate((boundaries, [n]))
         self._cell_keys = sorted_keys[boundaries]  # ascending
         self._vertex_keys = keys
         offsets = np.zeros(1, dtype=np.int64)
@@ -161,20 +170,52 @@ def _run_pairs(
         first, done = stop, int(cum[stop - 1])
 
 
+def _window_search(
+    index: GridIndex, left: np.ndarray, delta: int, bound: np.ndarray
+) -> np.ndarray:
+    """For each member position in ``left``, the first position in the cell
+    at key delta ``delta`` from its own whose rank is >= ``bound`` at its own
+    rank: one ``searchsorted`` on the index's ascending ``key * n + rank``."""
+    ranks = index._members[left]
+    needle = bound[ranks]
+    needle -= ranks
+    needle += index._member_keys[left]  # its own key * n + rank
+    if delta:
+        needle += delta * index.cloud.n
+    return np.searchsorted(index._member_keys, needle)
+
+
+def _same_cell_runs(
+    index: GridIndex, ends: np.ndarray, cells: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(left, stop) over the members of the cells that the mask ``cells``
+    selects: each one's position, and one past the last later member of its
+    own cell inside its window, so that its same-cell run is [left + 1, stop)."""
+    bounds = index._starts
+    left = _ranges(bounds[:-1][cells], np.diff(bounds)[cells])
+    return left, _window_search(index, left, 0, ends)
+
+
 def iter_candidate_pairs(
-    index: GridIndex, starts: np.ndarray, ends: np.ndarray, chunk: int = _CANDIDATE_CHUNK
+    index: GridIndex,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    chunk: int = _CANDIDATE_CHUNK,
+    counted: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Every unordered pair of member positions (indices into
     ``index._members``) whose cells are the same or adjacent and whose
     members lie in each other's window, exactly once, as chunked (left,
-    right) position arrays.
+    right) position arrays. A mask ``counted`` over the cells leaves out the
+    same-cell pairs of the cells it selects, which the caller counts from
+    ``_same_cell_runs`` instead.
 
     The indexed vertex ids are ranks on one further axis, and rank r's window
     on it is ``[starts[r], ends[r])``, r included; both bounds are
     nondecreasing in r, so s lies in r's window exactly when r lies in s's.
-    The stable sort leaves each cell's members in ascending rank, so (cell,
-    rank) is one ascending key over the positions, and each window bound is
-    one ``searchsorted`` on it with needles that are already ascending.
+    The index sorts ``key * n + rank``, so each cell's members are in
+    ascending rank, that sorted array is one ascending key over the
+    positions, and each window bound is one ``searchsorted`` on it.
 
     Within a chunk, left ascends and every right exceeds its left, so a
     chunk's positions all lie at or after its first left. A chunk holds at
@@ -187,21 +228,21 @@ def iter_candidate_pairs(
     This is a superset of the pairs at l-inf distance <= cell_size on the
     indexed axes; callers filter by actual distance.
     """
-    ranks = index._members
-    n = len(ranks)
     bounds = index._starts
     counts = np.diff(bounds)
-    keyed = np.repeat(np.arange(index.n_cells, dtype=np.int64) * n, counts) + ranks
-    for delta, groups_a, groups_b in _blocks(index):
-        reps = counts[groups_a]
-        left = _ranges(bounds[groups_a], reps)
-        cell_base = np.repeat(groups_b * n, reps)
-        # Offset 0 is the same cell: a position pairs with the members after it.
-        lo = left + 1 if delta == 0 else np.searchsorted(keyed, cell_base + starts[ranks[left]])
-        lens = np.searchsorted(keyed, cell_base + ends[ranks[left]]) - lo
+    enumerated = np.ones(index.n_cells, dtype=bool) if counted is None else ~counted
+    for delta, groups, _ in _blocks(index):
+        if delta == 0:  # a position pairs with the later members of its cell
+            left, stop = _same_cell_runs(index, ends, enumerated)
+            lo = left + 1
+        else:
+            left = _ranges(bounds[groups], counts[groups])
+            lo = _window_search(index, left, delta, starts)
+            stop = _window_search(index, left, delta, ends)
+        lens = stop - lo
         has = lens > 0
         block = (left[has], lo[has], lens[has])
-        del reps, left, cell_base, lo, lens, has  # a suspended generator keeps its locals
+        del left, lo, stop, lens, has  # a suspended generator keeps its locals
         yield from _run_pairs(*block, chunk)
         del block
 
@@ -242,16 +283,17 @@ def _neighbor_ids(index: GridIndex, i: int, y: float) -> np.ndarray:
     return np.sort(hits[hits != i])
 
 
-def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:
+def sorted_window_ends(xs: np.ndarray, y: float) -> Optional[np.ndarray]:
     """For ascending ``xs`` and finite y >= 0, ``ends[i]`` is one past the
     last j with fl(xs[j] - xs[i]) <= y, so i's forward window is
-    [i + 1, ends[i]).
+    [i + 1, ends[i]); None when every forward window is empty.
 
     This is the d = 1 sort-sweep of Bentley, Stanat & Williams: no pair is
     enumerated. The subtraction is monotone in j, so a window reaches past
     i + 1 only if fl(xs[i + 1] - xs[i]) <= y; every other window is empty,
     and only the windows that pass this gap test are searched, which at
-    sparse y is almost none. ``searchsorted`` on ``xs + y`` can land off by
+    sparse y is almost none. When none passes, the graph is empty, and the
+    gap pass is all the work. ``searchsorted`` on ``xs + y`` can land off by
     a run where fl(xs[i] + y) and the oracle's fl(xs[j] - xs[i]) round
     differently, so each searched window is repaired against the subtraction
     itself until nothing moves. By monotonicity a window only ever grows or
@@ -260,8 +302,10 @@ def sorted_window_ends(xs: np.ndarray, y: float) -> np.ndarray:
     not by their multiplicity.
     """
     n = len(xs)
-    ends = np.arange(1, n + 1)
     todo = np.flatnonzero(xs[1:] - xs[:-1] <= y)
+    if not todo.size:
+        return None
+    ends = np.arange(1, n + 1)
     base = xs[todo]  # kept aligned with todo, so it is gathered once
     e = np.searchsorted(xs, base + y, side="right")
     while todo.size:

@@ -1,7 +1,8 @@
 """Shared test oracles, deliberately independent of the library code paths
 they check: exact rational binomial tails, a scalar-loop Chebyshev distance,
 and a plain Kolmogorov-Smirnov statistic; plus the tie-heavy and overflow
-clouds that the brute-force comparisons take as extra inputs."""
+clouds that the brute-force comparisons take as extra inputs, and a spy on
+the degree pass's pair enumerator."""
 
 import functools
 from fractions import Fraction
@@ -9,7 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from exprgg import PointCloud
+from exprgg import PointCloud, graphstats
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,3 +163,26 @@ def few_value_cloud(
         (functools.reduce(np.kron, [spacings <= y] * d) @ counts - 1)[site] for y in ys
     ]
     return make_cloud(values[label]), tuple(float(y) for y in ys), degrees
+
+
+def spy_on_candidate_pairs(monkeypatch) -> List[dict]:
+    """Wrap ``graphstats.iter_candidate_pairs`` where the degree pass looks it
+    up, as the benchmark tracer does. Each call appends a record of its
+    arguments (``index``, ``starts``, ``ends``, ``counted``) and of the pairs
+    it yielded: how many, and how many of them join two members of one cell.
+    """
+    calls: List[dict] = []
+    enumerate_pairs = graphstats.iter_candidate_pairs
+
+    def spy(index, starts, ends, *args, **kwargs):
+        call = {"index": index, "starts": starts, "ends": ends,
+                "counted": kwargs.get("counted"), "pairs": 0, "same_cell": 0}
+        calls.append(call)
+        for left, right in enumerate_pairs(index, starts, ends, *args, **kwargs):
+            cells = np.searchsorted(index._starts, np.stack((left, right)), side="right")
+            call["pairs"] += len(left)
+            call["same_cell"] += int(np.count_nonzero(cells[0] == cells[1]))
+            yield left, right
+
+    monkeypatch.setattr(graphstats, "iter_candidate_pairs", spy)
+    return calls

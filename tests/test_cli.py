@@ -498,6 +498,18 @@ def test_experiment_env_var_threads_must_be_an_integer(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_experiment_env_var_threads_must_be_nonnegative(tmp_path, capsys, monkeypatch):
+    # The line names the variable, so it reads apart from --threads -1.
+    monkeypatch.setenv("EXPRGG_THREADS", "-1")
+    out = tmp_path / "env.csv"
+    code, _, err = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out))
+    assert (code, err) == (1, "exprgg: error: EXPRGG_THREADS must be >= 0, got -1\n")
+    monkeypatch.delenv("EXPRGG_THREADS")
+    code, _, err = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out), "--threads", "-1")
+    assert (code, err) == (1, "exprgg: error: threads must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
 def test_experiment_reuses_freed_pages(tmp_path):
     # Each degree-d1 replication frees O(n) numpy temporaries that the next one

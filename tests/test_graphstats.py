@@ -13,6 +13,7 @@ from conftest import (
     gap_boundary_clouds,
     make_cloud,
     scalar_edges,
+    spy_on_candidate_pairs,
     tie_and_overflow_clouds,
 )
 from exprgg import (
@@ -157,6 +158,63 @@ def test_column_engine_matches_brute_force_at_its_edges():
             assert degree_summary(cloud, y) == expected, (cloud.d, y)
     for cloud, y in empty:
         assert degree_summary(cloud, y).max_degree == 0, (cloud.d, y)
+
+
+def test_counted_cells_match_brute_force(monkeypatch):
+    # A column whose extent on every indexed axis is within y has its own
+    # pairs counted from their runs; any other column enumerates them. The
+    # spy sees the mask the degree pass passes and the pairs it gets back.
+    calls = spy_on_candidate_pairs(monkeypatch)
+
+    def run(cloud, y):
+        calls.clear()
+        want = np.bincount(brute_force_edges(cloud, y).ravel(), minlength=cloud.n)
+        assert np.array_equal(degree_summary(cloud, y).degrees, want), (cloud.d, y)
+        (call,) = calls
+        index, counted = call["index"], call["counted"]
+        members = index.cloud.points[index._members]
+        firsts = index._starts[:-1]
+        extent = (np.maximum.reduceat(members, firsts, axis=0)
+                  - np.minimum.reduceat(members, firsts, axis=0)).max(axis=1)
+        assert np.array_equal(counted, extent <= y), (cloud.d, y)
+        paired = np.diff(index._starts) > 1  # cells with a same-cell pair
+        return call, counted[paired], extent[counted]
+
+    # Every cell qualifies: the grid's width is y, so no same-cell pair is
+    # enumerated.
+    for d, y in ((2, 0.08), (3, 0.2)):
+        call, qualified, _ = run(sample_exponential_cloud(1500, d, 1.0, seed=3), y)
+        assert qualified.size and qualified.all() and call["pairs"] > 0, d
+        assert call["same_cell"] == 0, d
+    # No cell qualifies: near-coincident pairs whose columns widen past y to
+    # keep their keys within int64, at y = 1e-9 and at y = 0.
+    rng = np.random.default_rng(31)
+    base = 1.0 + rng.exponential(size=(100, 4))
+    steps = rng.choice([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], size=base.shape)
+    widened = make_cloud(np.concatenate((base, base + steps)))
+    for y in (1e-9, 0.0):
+        call, qualified, _ = run(widened, y)
+        assert call["index"].cell_size > 1e-9 and qualified.size and not qualified.any(), y
+        assert call["same_cell"] > 0, y
+    # Some cells qualify and some do not: one far point widens the columns
+    # past y, so the 1/8-lattice block near the origin shares columns wider
+    # than y, while the columns near 1000, 1500 and 2000 span exactly 1/8,
+    # a tie at y = 1/8.
+    for d in (2, 3):
+        rng = np.random.default_rng(40 + d)
+        block = rng.integers(0, 24, size=(200, d)) / 8.0
+        at = rng.choice([1000.0, 1500.0, 2000.0], size=(90, 1))
+        columns = np.column_stack(
+            (at + rng.integers(0, 2, size=(90, d - 1)) / 8.0, rng.integers(0, 24, 90) / 8.0)
+        )
+        far = np.full((1, d), 2.0 ** (108 // d))
+        cloud = make_cloud(np.concatenate((block, columns, far)))
+        for y in (0.125, 0.25):
+            call, qualified, extents = run(cloud, y)
+            assert qualified.any() and not qualified.all(), (d, y)
+            assert call["same_cell"] > 0, (d, y)
+            assert y != 0.125 or np.any(extents == y), d
+        run(cloud, 0.0)
 
 
 def test_d1_degrees_in_vertex_order_under_heavy_ties():

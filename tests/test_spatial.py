@@ -8,11 +8,13 @@ from conftest import (
     gap_boundary_clouds,
     make_cloud,
     scalar_edges,
+    spy_on_candidate_pairs,
     tie_and_overflow_clouds,
 )
 from exprgg import (
     brute_force_edges,
     build_grid_index,
+    degree_summary,
     neighbors_within,
     sample_exponential_cloud,
     spatial,
@@ -233,8 +235,14 @@ def test_sorted_window_ends_matches_a_per_point_scan():
         if cloud.d == 1:
             xs = np.sort(cloud.points[:, 0])
             cases += [(xs, y) for y in ys]
+    assert any(np.all(np.diff(xs) > y) for xs, y in cases)  # some return None
     for xs, y in cases:
-        assert np.array_equal(sorted_window_ends(xs, y), scan(xs, y)), y
+        want = scan(xs, y)
+        got = sorted_window_ends(xs, y)
+        # None stands for every window empty, and only for that.
+        empty = np.array_equal(want, np.arange(1, len(xs) + 1))
+        assert (got is None) == empty, y
+        assert empty or np.array_equal(got, want), y
 
 
 def test_sorted_window_ends_jumps_runs_of_equal_coordinates():
@@ -262,6 +270,52 @@ def test_grid_widens_cells_whose_keys_would_overflow():
     assert sorted(sum(cell_layout(index).values(), [])) == [0, 1, 2, 3]
     assert neighbors_within(index, 0, 1.0) == {3}
     assert neighbors_within(index, 1, 1.0) == set()
+
+
+def test_grid_order_is_a_stable_argsort_of_the_cell_keys():
+    # One sort of key * n + id must group the vertices exactly as a stable
+    # argsort of the keys would, ties included, also on the widened grid.
+    for cloud, ys in tie_and_overflow_clouds():
+        for y in (0.0, *ys):
+            index = build_grid_index(cloud, max(y, 2.0**-40))
+            keys = index._vertex_keys
+            order = np.argsort(keys, kind="stable")
+            cell_keys, firsts = np.unique(keys[order], return_index=True)
+            assert np.array_equal(index._members, order), (cloud.d, y)
+            assert np.array_equal(index._cell_keys, cell_keys), (cloud.d, y)
+            assert np.array_equal(index._starts, np.append(firsts, cloud.n)), (cloud.d, y)
+            assert np.array_equal(index._member_keys, keys[order] * cloud.n + order)
+
+
+def test_grid_widens_cells_whose_keys_times_n_would_overflow():
+    # At cell_size 1 the radix product, 2^59 + 3, fits int64, but times the
+    # 32 points it does not, so two sort keys key * n + id could collide.
+    points = [[0.0], [2.0**59]] + [[0.5 * k] for k in range(30)]
+    cloud = make_cloud(points)
+    index = build_grid_index(cloud, 1.0)
+    assert (2**59 + 3).bit_length() <= 63 and ((2**59 + 3) * 32).bit_length() > 63
+    assert index.cell_size > 1.0
+    assert (int(index._cell_keys.max()) + 2) * cloud.n < 2**63
+    assert sorted(sum(cell_layout(index).values(), [])) == list(range(32))
+    assert np.array_equal(index._members, np.argsort(index._vertex_keys, kind="stable"))
+    ids = [_neighbor_ids(index, i, 1.0).tolist() for i in range(cloud.n)]
+    got = [[i, j] for i in range(cloud.n) for j in ids[i] if i < j]
+    assert got == brute_force_edges(cloud, 1.0).tolist()
+
+
+def test_degree_pass_enumerates_no_same_cell_pair(monkeypatch):
+    # The edge-d2 workload's size: n = 20,000 at d = 2, c = 2. Every column is
+    # as wide as y, so every same-column pair is counted, and the degree pass
+    # enumerates only adjacent-column pairs, about two-thirds of all candidates.
+    n = 20000
+    y = math.sqrt(2 * math.log(n) / n)
+    calls = spy_on_candidate_pairs(monkeypatch)
+    degree_summary(sample_exponential_cloud(n, 2, 1.0, seed=42), y)
+    (call,) = calls
+    assert call["counted"].all() and call["same_cell"] == 0
+    unmasked = iter_candidate_pairs(call["index"], call["starts"], call["ends"])
+    everything = sum(len(left) for left, _ in unmasked)
+    assert 0.6 < call["pairs"] / everything < 0.72, (call["pairs"], everything)
 
 
 def test_brute_force_matches_scalar_loops():
