@@ -23,9 +23,8 @@ from .spatial import (
     GridIndex,
     brute_force_edges,
     build_grid_index,
-    neighbors_within,
 )
-from .graphstats import degree_ratios, degree_summary, edge_density_gap
+from .graphstats import degree_ratios, degree_summary, edge_density_gap, edge_list
 from .theory import (
     a_max,
     a_min,

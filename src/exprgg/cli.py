@@ -33,7 +33,7 @@ from .experiments import (
     spec_from_json_file,
     write_manifest,
 )
-from .graphstats import _edge_counts_multi, degree_summary
+from .graphstats import _edge_counts_multi, degree_summary, edge_list
 from .model import LogRegime, PointCloud, PowerFamily, _check_nonnegative
 from .sampling import (
     derive_replication_seed,
@@ -41,7 +41,7 @@ from .sampling import (
     uniform_stream,
     write_cloud,
 )
-from .spatial import _neighbor_ids, brute_force_edges, build_grid_index
+from .spatial import brute_force_edges
 from .theory import (
     a_max,
     a_min,
@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="grid neighbour queries, and degree counts and y-grid edge counts (a sorted "
-        "sweep at d = 1, sorted last-axis windows over a grid of columns at d >= 2), vs "
+        help="the edge list, degree counts and y-grid edge counts (a sorted sweep at "
+        "d = 1, sorted last-axis windows over a grid of columns at d >= 2) vs "
         "the brute force oracle, on each sampled cloud, on its 1/4-lattice snap, and at "
         "y equal to the distance between its vertices 0 and 1",
     )
@@ -219,23 +219,21 @@ def _cmd_theory(args) -> int:
 
 
 def _engine_mismatches(cloud: PointCloud, y: float) -> List[str]:
-    """Names of the engines whose answer on ``cloud`` at y differs from
-    brute force: grid neighbour queries, degree_summary, and the y-grid edge
-    counter at (y / 2, y)."""
-    n = cloud.n
+    """Names of the engines whose answer on ``cloud`` at y differs from brute
+    force: edge_list (``edges``), degree_summary (``degrees``) and the y-grid
+    edge counter at (y / 2, y) (``edge-counts``)."""
     expected = brute_force_edges(cloud, y)
-    # Directed edges as codes i * n + j; each undirected edge appears twice.
-    want = np.sort(np.concatenate((expected @ [n, 1], expected @ [1, n])))
-    index = build_grid_index(cloud, y)
-    got = np.concatenate([i * n + _neighbor_ids(index, i, y) for i in range(n)])
+    e0, e1 = expected.T
     # The oracle's edges at y / 2 are those of its edges at y whose distance,
-    # computed as it computes it, is within y / 2.
-    dist = np.abs(cloud.points[expected[:, 0]] - cloud.points[expected[:, 1]]).max(axis=1)
-    counts = [np.count_nonzero(dist <= y / 2), len(expected)]
+    # computed per axis as it computes it, is within y / 2.
+    within = np.ones(len(expected), dtype=bool)
+    for col in cloud.points.T:
+        within &= np.abs(col[e0] - col[e1]) <= y / 2
+    counts = [np.count_nonzero(within), len(expected)]
     checks = (
-        ("neighbors", np.array_equal(got, want)),
+        ("edges", np.array_equal(edge_list(cloud, y), expected)),
         ("degrees", np.array_equal(degree_summary(cloud, y).degrees,
-                                   np.bincount(expected.ravel(), minlength=n))),
+                                   np.bincount(expected.ravel(), minlength=cloud.n))),
         ("edge-counts", np.array_equal(_edge_counts_multi(cloud, (y / 2, y)), counts)),
     )
     return [name for name, ok in checks if not ok]
@@ -259,10 +257,9 @@ def _cmd_verify(args) -> int:
         y = float(u[3]) * 1.5 / lam
         cloud = sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0))
         snapped = replace(cloud, points=np.floor(4 * cloud.points) / 4)
-        checks = [(cloud, y, ""), (snapped, (math.floor(4 * y) + 1) / 4, ", 1/4 lattice")]
         realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
-        if realised > 0.0:  # a cell size of 0 is refused
-            checks.append((cloud, realised, ", realised distance"))
+        checks = [(cloud, y, ""), (snapped, (math.floor(4 * y) + 1) / 4, ", 1/4 lattice"),
+                  (cloud, realised, ", realised distance")]
         failed = [
             f"(n={n}, d={d}, lambda={fmt17(lam)}, y={fmt17(at)}{where}) in {', '.join(names)}"
             for c, at, where in checks

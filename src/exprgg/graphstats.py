@@ -1,5 +1,6 @@
-"""Degree statistics and y-grid edge counts of the radius-y graph on a point
-cloud, plus the ratios and edge-density gap that the strong-law bounds use.
+"""Degree statistics, y-grid edge counts and the edge list of the radius-y
+graph on a point cloud, plus the ratios and edge-density gap that the
+strong-law bounds use.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 
 from .model import DegreeSummary, PointCloud, _check_dim, _check_nonnegative
 from .spatial import (
+    _ranges,
     _same_cell_runs,
     build_grid_index,
     iter_candidate_pairs,
@@ -182,6 +184,36 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
         dist = _pair_distances(cols, left, right)
         bins += np.bincount(np.searchsorted(ys, dist, "left"), minlength=len(ys) + 1)
     return np.cumsum(bins[:-1])
+
+
+def edge_list(cloud: PointCloud, y: float) -> np.ndarray:
+    """The edges of G_n(y) on ``cloud`` in the form of ``brute_force_edges``:
+    the rows (i, j), i < j, of an (m, 2) int64 array in row-major order, shape
+    (0, 2) when there is none. At d >= 2 the column engine enumerates every
+    candidate pair, same-column pairs included, and keeps those within y."""
+    _check_nonnegative(y, "y")
+    n = cloud.n
+    windows = _last_axis_windows(cloud, y)
+    if windows is None:
+        return np.zeros((0, 2), dtype=np.int64)
+    order, starts, ends = windows
+    found = [(np.zeros(0, dtype=np.int64),) * 2]  # pairs of last-axis ranks
+    if cloud.d == 1:
+        # Rank r's forward window is [r + 1, ends[r]). Equal coordinates get
+        # equal windows, so any sorting permutation maps ranks to vertices.
+        after = np.arange(1, n + 1)
+        lens = ends - after
+        found.append((np.repeat(after - 1, lens), _ranges(after, lens)))
+        order = np.argsort(cloud.points[:, 0])
+    else:
+        # The windows hold the last axis to y, as in the degree pass.
+        index, cols = _column_grid(cloud, y, order, cloud.d - 1)
+        for left, right in iter_candidate_pairs(index, starts, ends):
+            hit = _pair_distances(cols, left, right) <= y
+            found.append((index._members[left[hit]], index._members[right[hit]]))
+    i, j = (order[np.concatenate(side)] for side in zip(*found))
+    codes = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.column_stack(np.divmod(codes, n))
 
 
 def edge_density_gap(summary: DegreeSummary, y: float, lam: float, d: int) -> float:

@@ -3,38 +3,38 @@ sweep, and the brute-force pairwise scan that serves as the correctness
 oracle of both.
 
 The grid is the fixed-radius cell method of Bentley, Stanat & Williams
-(IPL 6(6), 1977). With cell_size >= the query radius, a radius-y query only
-has to scan the 3^d cells around a point. For every d, each cell has one
-int64 key, so one sorted key array and one ``searchsorted`` serve every cell
-lookup. The index groups its vertices with one ``np.sort`` of the int64
-``key * n + id``, which orders them as a stable sort of the keys would, and
-stores its cells, that sorted array and the key delta of each of the 3^d
-offsets. Pair enumeration walks the occupied cells one offset at a time; a
-single-point query looks up its own cell and its 3^d - 1 neighbour cells at
-once, and walks nothing.
+(IPL 6(6), 1977). With cell_size >= the radius y, every pair within y lies
+in the same or adjacent cells. For every d, each cell has one int64 key, so
+one sorted key array and one ``searchsorted`` serve every cell lookup. The
+index groups its vertices with one ``np.sort`` of the int64 ``key * n + id``,
+which orders them as a stable sort of the keys would, and stores its cells,
+that sorted array and the key deltas of offset 0 and of the lexicographically
+positive offsets. Pair enumeration walks the occupied cells one offset at a
+time.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
 enumerating a pair, and searches only the windows whose first gap is within
-y. At d = 1 the windows are the degrees. At d >= 2 the degree and y-grid
-edge counts sort on the last axis and build the grid on the other d - 1
-axes only, so its cells are columns. Candidate pairs are then member
-positions in column order, each paired only with the members of its own and
-adjacent columns inside its last-axis window, expanded from contiguous runs
-in vectorized chunks; the Python-level work is O(3^(d-1)) steps plus one
-per chunk, not O(n) or O(pairs). The degree pass counts the same-column pairs
-of a column whose extent is within y on every indexed axis from their runs
-(``_same_cell_runs``) and enumerates only the rest.
+y. At d = 1 the windows are the degrees and expand to the edges. At d >= 2
+the degrees, the y-grid edge counts and the edge list sort on the last axis
+and build the grid on the other d - 1 axes only, so its cells are columns.
+Candidate pairs are then member positions in column order, each paired only
+with the members of its own and adjacent columns inside its last-axis
+window, expanded from contiguous runs in vectorized chunks; the Python-level
+work is O(3^(d-1)) steps plus one per chunk, not O(n) or O(pairs). The
+degree pass counts the same-column pairs of a column whose extent is within
+y on every indexed axis from their runs (``_same_cell_runs``) and enumerates
+only the rest.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import PointCloud, _check_int, _check_nonnegative
+from .model import PointCloud, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
@@ -79,7 +79,8 @@ class GridIndex:
     coarser width actually used (see ``_fit_cells``).
 
     It stores its cells, its members' ``key * n + id`` in ascending order
-    and the key delta of each neighbour offset.
+    and the key deltas of offset 0 and of each lexicographically positive
+    neighbour offset, the ones the pair walk visits.
     """
 
     def __init__(self, cloud: PointCloud, cell_size: float):
@@ -87,7 +88,6 @@ class GridIndex:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         if cloud.d > _MAX_AXES:
             raise ValueError(f"the grid index supports at most {_MAX_AXES} axes, got {cloud.d}")
-        self.cloud = cloud
         shifted, self.cell_size, radix = _fit_cells(cloud.points, float(cell_size))
         keys = shifted[:, 0]
         for k in range(1, cloud.d):
@@ -103,13 +103,12 @@ class GridIndex:
         )
         self._starts = np.concatenate((boundaries, [n]))
         self._cell_keys = sorted_keys[boundaries]  # ascending
-        self._vertex_keys = keys
         offsets = np.zeros(1, dtype=np.int64)
         for k in range(cloud.d):
             # Axis 0 outermost: every radix is >= 3, so the deltas ascend, offset
             # 0 is the middle one, and the lexicographically positive follow it.
             offsets = (offsets[:, None] + np.array([-1, 0, 1]) * math.prod(radix[k + 1:])).ravel()
-        self._offset_keys = offsets
+        self._offset_keys = offsets[len(offsets) // 2:].copy()  # not a view of them all
 
     @property
     def n_cells(self) -> int:
@@ -136,9 +135,8 @@ def _blocks(index: GridIndex) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     adjacent occupied cells appears once. Yielded per offset: the pair chunks
     restart at each, which keeps their left positions ascending, and packing
     all offsets into full chunks raised peak memory by half on d = 2 clouds."""
-    deltas = index._offset_keys
     groups = np.arange(index.n_cells, dtype=np.int64)
-    for delta in deltas[len(deltas) // 2:]:
+    for delta in index._offset_keys:
         neighbor = index._groups_of(index._cell_keys + delta)
         present = neighbor >= 0
         if present.any():  # the method: np.any's dispatch costs a fifth of the walk
@@ -181,7 +179,7 @@ def _window_search(
     needle -= ranks
     needle += index._member_keys[left]  # its own key * n + rank
     if delta:
-        needle += delta * index.cloud.n
+        needle += delta * len(index._members)
     return np.searchsorted(index._member_keys, needle)
 
 
@@ -254,33 +252,6 @@ def iter_matched_blocks(index: GridIndex) -> Iterator[Tuple[np.ndarray, np.ndarr
     for delta, groups_a, groups_b in _blocks(index):
         for g, h in zip(groups_a, groups_b):
             yield index.members(g), index.members(h), delta == 0
-
-
-def neighbors_within(index: GridIndex, i: int, y: float) -> Set[int]:
-    """Vertex ids j != i with ||X_i - X_j||_inf <= y (boundary inclusive).
-
-    Requires y <= cell_size so i's cell and its 3^d - 1 neighbour cells hold them all.
-    """
-    return set(_neighbor_ids(index, i, y).tolist())
-
-
-def _neighbor_ids(index: GridIndex, i: int, y: float) -> np.ndarray:
-    """``neighbors_within`` as an ascending int64 array."""
-    n = index.cloud.n
-    i = _check_int(i, "vertex id")
-    if not 0 <= i < n:
-        raise IndexError(f"vertex id {i} out of range for n={n}")
-    _check_nonnegative(y, "y")
-    if y > index.cell_size:
-        raise ValueError(
-            f"y={y} exceeds cell_size={index.cell_size}; rebuild the index"
-        )
-    groups = index._groups_of(index._vertex_keys[i] + index._offset_keys)
-    cand = np.concatenate([index.members(g) for g in groups[groups >= 0]])
-    near = np.abs(index.cloud.points[cand] - index.cloud.points[i]) <= y
-    # Rows of a contiguous (d, k) copy reduce several times faster than (k, d).
-    hits = cand[np.logical_and.reduce(np.ascontiguousarray(near.T))]
-    return np.sort(hits[hits != i])
 
 
 def sorted_window_ends(xs: np.ndarray, y: float) -> Optional[np.ndarray]:

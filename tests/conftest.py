@@ -166,10 +166,11 @@ def few_value_cloud(
 
 
 def spy_on_candidate_pairs(monkeypatch) -> List[dict]:
-    """Wrap ``graphstats.iter_candidate_pairs`` where the degree pass looks it
-    up, as the benchmark tracer does. Each call appends a record of its
-    arguments (``index``, ``starts``, ``ends``, ``counted``) and of the pairs
-    it yielded: how many, and how many of them join two members of one cell.
+    """Wrap ``graphstats.iter_candidate_pairs`` where the degree pass, the
+    y-grid and the edge list look it up, as the benchmark tracer does. Each
+    call appends a record of its arguments (``index``, ``starts``, ``ends``,
+    ``counted``) and of the pairs it yielded: how many, and how many of them
+    join two members of one cell.
     """
     calls: List[dict] = []
     enumerate_pairs = graphstats.iter_candidate_pairs

@@ -368,7 +368,7 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
     assert code == 3
     assert out == "verify: 3 cases, 0 matched\n"
-    assert err.count("in degrees\n") == 3 and "neighbors" not in err
+    assert err.count("in degrees\n") == 3 and "edges" not in err
     monkeypatch.undo()
     # One edge too many at each y, on the sampled and the lattice clouds and
     # at the realised distance alike.
@@ -382,7 +382,20 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     assert all(", 1/4 lattice) in edge-counts; " in line for line in lines)
     assert all(line.endswith(", realised distance) in edge-counts") for line in lines)
     assert all(line.count(" in edge-counts") == 3 for line in lines)
-    assert "neighbors" not in err and "degrees" not in err
+    assert "edges" not in err and "degrees" not in err
+    monkeypatch.undo()
+    # One edge dropped from each edge list that has any.
+    real_edges = cli.edge_list
+    monkeypatch.setattr(cli, "edge_list", lambda cloud, y: real_edges(cloud, y)[1:])
+    code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
+    assert code == 3
+    assert out == "verify: 3 cases, 0 matched\n"
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert all(", 1/4 lattice) in edges; " in line for line in lines)
+    assert all(line.endswith(", realised distance) in edges") for line in lines)
+    assert all(line.count(" in edges") == 3 for line in lines)
+    assert "degrees" not in err and "edge-counts" not in err
 
 
 SPEC_FLAGS = ["--d", "1", "--lambda", "1", "--n", "100", "--reps", "1", "--seed", "1"]

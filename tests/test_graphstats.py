@@ -22,6 +22,7 @@ from exprgg import (
     degree_ratios,
     degree_summary,
     edge_density_gap,
+    edge_list,
     pair_connect_prob,
     sample_exponential_cloud,
 )
@@ -69,8 +70,9 @@ def test_needs_two_points():
 def test_rejects_negative_or_nan_y():
     for points in ([0.0, 0.5, 1.2], [[0.0, 1.0], [0.5, 0.2]]):
         for y in (-0.5, float("nan")):
-            with pytest.raises(ValueError, match="y must be >= 0"):
-                degree_summary(make_cloud(points), y)
+            for engine in (degree_summary, edge_list):
+                with pytest.raises(ValueError, match="y must be >= 0"):
+                    engine(make_cloud(points), y)
 
 
 def test_matches_brute_force_on_random_clouds():
@@ -172,7 +174,9 @@ def test_counted_cells_match_brute_force(monkeypatch):
         assert np.array_equal(degree_summary(cloud, y).degrees, want), (cloud.d, y)
         (call,) = calls
         index, counted = call["index"], call["counted"]
-        members = index.cloud.points[index._members]
+        # The column grid indexes the first d - 1 axes in last-axis rank order.
+        ranked = cloud.points[np.argsort(cloud.points[:, -1]), :-1]
+        members = ranked[index._members]
         firsts = index._starts[:-1]
         extent = (np.maximum.reduceat(members, firsts, axis=0)
                   - np.minimum.reduceat(members, firsts, axis=0)).max(axis=1)

@@ -15,28 +15,27 @@ from exprgg import (
     brute_force_edges,
     build_grid_index,
     degree_summary,
-    neighbors_within,
+    edge_list,
     sample_exponential_cloud,
-    spatial,
 )
 from exprgg.sampling import derive_replication_seed, uniform_stream
 from exprgg.spatial import (
     _CANDIDATE_CHUNK,
-    _neighbor_ids,
+    _fit_cells,
     iter_candidate_pairs,
     sorted_window_ends,
 )
 
 
-def cell_layout(index):
-    """The member ids of each group of ``index``, keyed by cell coordinates,
-    after asserting that all members of a group share one
+def cell_layout(index, cloud):
+    """The member ids of each group of ``index`` over ``cloud``, keyed by cell
+    coordinates, after asserting that all members of a group share one
     floor(points / cell_size) cell and that no two groups share a cell, so
     two cells merged under one key fail."""
     layout = {}
     for g in range(index.n_cells):
         ids = index.members(g)
-        cells = np.floor(index.cloud.points[ids] / index.cell_size).astype(np.int64)
+        cells = np.floor(cloud.points[ids] / index.cell_size).astype(np.int64)
         assert np.all(cells == cells[0])
         cell = tuple(cells[0].tolist())
         assert cell not in layout
@@ -44,14 +43,30 @@ def cell_layout(index):
     return layout
 
 
+def vertex_keys(cloud, cell_size):
+    """Each vertex's cell key, computed from ``_fit_cells`` as the index does."""
+    shifted, _, radix = _fit_cells(cloud.points, cell_size)
+    keys = shifted[:, 0]
+    for k in range(1, cloud.d):
+        keys = keys * radix[k] + shifted[:, k]
+    return keys
+
+
+def with_constant_last_axis(cloud):
+    """``cloud`` with one more axis, 0 everywhere: every pair lies in every
+    last-axis window, so the column grid of the edge list covers exactly the
+    axes of ``cloud``."""
+    return make_cloud(np.column_stack((cloud.points, np.zeros(cloud.n))))
+
+
 def test_grid_single_point_at_origin():
-    index = build_grid_index(make_cloud([[0.0, 0.0]]), 1.0)
-    assert cell_layout(index) == {(0, 0): [0]}
+    cloud = make_cloud([[0.0, 0.0]])
+    assert cell_layout(build_grid_index(cloud, 1.0), cloud) == {(0, 0): [0]}
 
 
 def test_grid_two_cells():
-    index = build_grid_index(make_cloud([0.5, 1.5]), 1.0)
-    assert cell_layout(index) == {(0,): [0], (1,): [1]}
+    cloud = make_cloud([0.5, 1.5])
+    assert cell_layout(build_grid_index(cloud, 1.0), cloud) == {(0,): [0], (1,): [1]}
 
 
 def test_grid_rejects_nonpositive_cell():
@@ -64,70 +79,38 @@ def test_grid_partitions_all_vertices():
     index = build_grid_index(cloud, 0.25)
     assert index.cell_size == 0.25
     # and every vertex sits in the cell its coordinates dictate
-    seen = sum(cell_layout(index).values(), [])
+    seen = sum(cell_layout(index, cloud).values(), [])
     assert sorted(seen) == list(range(10**4))
 
 
 def test_neighbors_boundary_inclusive():
     cloud = make_cloud([[0.0, 0.0], [0.25, 0.25]])
-    index = build_grid_index(cloud, 0.25)
-    assert neighbors_within(index, 0, 0.25) == {1}
-    assert neighbors_within(index, 1, 0.25) == {0}
+    assert edge_list(cloud, 0.25).tolist() == [[0, 1]]
+    assert edge_list(cloud, np.nextafter(0.25, 0.0)).shape == (0, 2)
 
 
 def test_neighbors_empty_at_y_zero():
-    cloud = make_cloud([0.0, 0.5, 1.25])
-    index = build_grid_index(cloud, 1.0)
-    for i in range(3):
-        assert neighbors_within(index, i, 0.0) == set()
+    for points in ([0.0, 0.5, 1.25], [[0.0, 1.0], [0.5, 1.0], [1.25, 1.0]]):
+        edges = edge_list(make_cloud(points), 0.0)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
 
 
 def test_neighbors_never_returns_self():
-    cloud = make_cloud([[0.0], [0.0], [0.0]])  # coincident points
-    index = build_grid_index(cloud, 1.0)
-    for i in range(3):
-        hits = neighbors_within(index, i, 0.5)
-        assert i not in hits
-        assert hits == {0, 1, 2} - {i}
+    # Coincident points are adjacent to each other, at y = 0 too, and never
+    # to themselves.
+    for points in ([[0.0], [0.0], [0.0]], [[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]]):
+        for y in (0.0, 0.5):
+            assert edge_list(make_cloud(points), y).tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_neighbors_found_at_a_lexicographically_negative_offset():
-    # Cell (0, 1) lies at offset (-1, +1) from cell (1, 0), an offset whose
-    # key delta is negative; a query looks it up like any other.
-    index = build_grid_index(make_cloud([[1.5, 0.5], [0.5, 1.5], [5.0, 5.0]]), 1.0)
-    assert neighbors_within(index, 0, 1.0) == {1}
-    assert neighbors_within(index, 1, 1.0) == {0}
-    assert neighbors_within(index, 0, 0.5) == set()
-
-
-def test_point_query_walks_no_cells(monkeypatch):
-    # A query looks its neighbour keys up directly; the offset walk serves
-    # pair enumeration only.
-    def no_walk(index):
-        raise AssertionError("a point query walked the cell offsets")
-
-    monkeypatch.setattr(spatial, "_blocks", no_walk)
-    for d in (3, 12):
-        cloud = sample_exponential_cloud(60, d, 1.0, seed=d)
-        index = build_grid_index(cloud, 1.0)
-        ids = [_neighbor_ids(index, i, 1.0).tolist() for i in range(cloud.n)]
-        got = [[i, j] for i in range(cloud.n) for j in ids[i] if i < j]
-        assert got == brute_force_edges(cloud, 1.0).tolist(), d
-
-
-def test_neighbors_rejects_bad_queries():
-    cloud = make_cloud([0.0, 1.0])
-    index = build_grid_index(cloud, 0.5)
-    with pytest.raises(IndexError):
-        neighbors_within(index, 5, 0.1)
-    for bad in (True, False, 1.0, np.float64(2.0), "1"):
-        with pytest.raises(ValueError, match="vertex id must be an integer"):
-            neighbors_within(index, bad, 0.1)
-    assert neighbors_within(index, np.int64(1), 0.5) == set()
-    with pytest.raises(ValueError):
-        neighbors_within(index, 0, 0.75)  # y > cell_size
-    with pytest.raises(ValueError, match="y must be >= 0, got nan"):
-        neighbors_within(index, 0, math.nan)
+    # On the column grid over the first two axes, cell (0, 1) lies at offset
+    # (-1, +1) from cell (1, 0), an offset whose key delta is negative; the
+    # pair walk visits only offset 0 and the positive ones, and finds the
+    # pair from the other side, at (+1, -1).
+    cloud = make_cloud([[1.5, 0.5, 0.0], [0.5, 1.5, 0.0], [5.0, 5.0, 0.0]])
+    assert edge_list(cloud, 1.0).tolist() == [[0, 1]]
+    assert edge_list(cloud, 0.5).shape == (0, 2)
 
 
 def test_brute_force_hand_example():
@@ -143,6 +126,7 @@ def test_brute_force_hand_example():
 
 
 def test_grid_matches_brute_force_on_random_clouds():
+    # The edge list of the column engine against the oracle, row for row.
     cases = []
     for case in range(100):
         case_seed = derive_replication_seed(99, case)
@@ -155,26 +139,16 @@ def test_grid_matches_brute_force_on_random_clouds():
         # Also at y = the oracle's distance between vertices 0 and 1, a tie.
         realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
         cases += [(cloud, y), (cloud, realised)]
-    cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in ys]
-    # Many axes, each cloud with edges at y = 1, up to the 12-axis cap, where
-    # a query looks up 3^12 neighbour keys and finds nearly all unoccupied.
-    many_axes = [sample_exponential_cloud(60, d, 1.0, seed=d) for d in (6, 7, 8, 12)]
+    cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in (0.0, *ys)]
+    # Many axes, each cloud with edges at y = 1, up to d = 13, where the
+    # column grid indexes 12 axes, the cap, and walks 3^12 offsets.
+    many_axes = [sample_exponential_cloud(60, d, 1.0, seed=d) for d in (6, 7, 8, 12, 13)]
     assert all(len(brute_force_edges(cloud, 1.0)) for cloud in many_axes)
     cases += [(cloud, 1.0) for cloud in many_axes]
     mismatches = []
     for case, (cloud, y) in enumerate(cases):
-        # Directed edges i * n + j, so a query that misses a neighbour its
-        # partner's query finds fails.
-        n, edges = cloud.n, brute_force_edges(cloud, y)
-        expected = np.sort(np.concatenate((edges @ [n, 1], edges @ [1, n])))
-        index = build_grid_index(cloud, y)
-        got = []
-        for i in range(n):
-            ids = _neighbor_ids(index, i, y)
-            assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0), (case, i)
-            assert ids.tolist() == sorted(neighbors_within(index, i, y)), (case, i)
-            got.append(i * n + ids)
-        if not np.array_equal(np.concatenate(got), expected):
+        got = edge_list(cloud, y)
+        if got.dtype != np.int64 or not np.array_equal(got, brute_force_edges(cloud, y)):
             mismatches.append(case)
     assert mismatches == []
 
@@ -200,9 +174,10 @@ def test_candidate_pairs_cover_adjacent_cells_once_in_bounded_chunks():
         in_window = np.abs(xs[:, None] - xs[None, :]) <= y  # one run per row
         starts = in_window.argmax(axis=1)
         ends = len(xs) - in_window[:, ::-1].argmax(axis=1)
-        index = build_grid_index(make_cloud(cloud.points[order, :-1]), max(y, 2.0**-40))
+        indexed = cloud.points[order, :-1]
+        index = build_grid_index(make_cloud(indexed), max(y, 2.0**-40))
         ranks = index._members
-        cells = np.floor(index.cloud.points[ranks] / index.cell_size)
+        cells = np.floor(indexed[ranks] / index.cell_size)
         near = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
         near &= in_window[np.ix_(ranks, ranks)]
         expected = set(zip(*np.nonzero(np.triu(near, 1))))
@@ -261,15 +236,18 @@ def test_sorted_window_ends_jumps_runs_of_equal_coordinates():
     assert elapsed < 5.0
 
 
-def test_grid_widens_cells_whose_keys_would_overflow():
+def test_grid_widens_cells_whose_keys_would_overflow(monkeypatch):
     # At cell_size 1 the key radix product of these cells exceeds 2^63, and
     # cells (1, 1) and (2^32 + 1, 1) would share a key modulo 2^64.
     cloud = make_cloud([[1.0, 1.0], [1.0 + 2.0**32, 1.0], [1.0, 2.0**32 - 2], [1.5, 1.5]])
     index = build_grid_index(cloud, 1.0)
-    assert index.cell_size >= 1.0
-    assert sorted(sum(cell_layout(index).values(), [])) == [0, 1, 2, 3]
-    assert neighbors_within(index, 0, 1.0) == {3}
-    assert neighbors_within(index, 1, 1.0) == set()
+    assert index.cell_size > 1.0
+    assert sorted(sum(cell_layout(index, cloud).values(), [])) == [0, 1, 2, 3]
+    # The edge list builds that widened grid as its column grid.
+    calls = spy_on_candidate_pairs(monkeypatch)
+    wide = with_constant_last_axis(cloud)
+    assert edge_list(wide, 1.0).tolist() == brute_force_edges(wide, 1.0).tolist() == [[0, 3]]
+    assert [call["index"].cell_size for call in calls] == [index.cell_size]
 
 
 def test_grid_order_is_a_stable_argsort_of_the_cell_keys():
@@ -278,7 +256,7 @@ def test_grid_order_is_a_stable_argsort_of_the_cell_keys():
     for cloud, ys in tie_and_overflow_clouds():
         for y in (0.0, *ys):
             index = build_grid_index(cloud, max(y, 2.0**-40))
-            keys = index._vertex_keys
+            keys = vertex_keys(cloud, max(y, 2.0**-40))
             order = np.argsort(keys, kind="stable")
             cell_keys, firsts = np.unique(keys[order], return_index=True)
             assert np.array_equal(index._members, order), (cloud.d, y)
@@ -287,20 +265,27 @@ def test_grid_order_is_a_stable_argsort_of_the_cell_keys():
             assert np.array_equal(index._member_keys, keys[order] * cloud.n + order)
 
 
-def test_grid_widens_cells_whose_keys_times_n_would_overflow():
-    # At cell_size 1 the radix product, 2^59 + 3, fits int64, but times the
-    # 32 points it does not, so two sort keys key * n + id could collide.
-    points = [[0.0], [2.0**59]] + [[0.5 * k] for k in range(30)]
+def test_grid_widens_cells_whose_keys_times_n_would_overflow(monkeypatch):
+    # At cell_size 1 the radix product, (2^30 + 3)(2^29 + 3), fits int64, but
+    # times the 32 points it does not, so two sort keys key * n + id could
+    # collide. Two axes, so that each span stays far below 2^52 cells and the
+    # column grid of the edge list widens by this rule alone.
+    points = [[0.0, 0.0], [2.0**30, 2.0**29]] + [[0.5 * k, 0.5 * k] for k in range(30)]
     cloud = make_cloud(points)
     index = build_grid_index(cloud, 1.0)
-    assert (2**59 + 3).bit_length() <= 63 and ((2**59 + 3) * 32).bit_length() > 63
+    radix = (2**30 + 3) * (2**29 + 3)
+    assert radix.bit_length() <= 63 and (radix * 32).bit_length() > 63
     assert index.cell_size > 1.0
     assert (int(index._cell_keys.max()) + 2) * cloud.n < 2**63
-    assert sorted(sum(cell_layout(index).values(), [])) == list(range(32))
-    assert np.array_equal(index._members, np.argsort(index._vertex_keys, kind="stable"))
-    ids = [_neighbor_ids(index, i, 1.0).tolist() for i in range(cloud.n)]
-    got = [[i, j] for i in range(cloud.n) for j in ids[i] if i < j]
-    assert got == brute_force_edges(cloud, 1.0).tolist()
+    assert sorted(sum(cell_layout(index, cloud).values(), [])) == list(range(32))
+    keys = vertex_keys(cloud, 1.0)
+    assert np.array_equal(index._members, np.argsort(keys, kind="stable"))
+    # The edge list builds that widened grid as its column grid.
+    calls = spy_on_candidate_pairs(monkeypatch)
+    wide = with_constant_last_axis(cloud)
+    expected = brute_force_edges(wide, 1.0)
+    assert len(expected) and np.array_equal(edge_list(wide, 1.0), expected)
+    assert [call["index"].cell_size for call in calls] == [index.cell_size]
 
 
 def test_degree_pass_enumerates_no_same_cell_pair(monkeypatch):
