@@ -19,11 +19,7 @@ from .sampling import (
     uniform_stream,
     write_cloud,
 )
-from .spatial import (
-    GridIndex,
-    brute_force_edges,
-    build_grid_index,
-)
+from .spatial import brute_force_edges
 from .graphstats import degree_ratios, degree_summary, edge_density_gap, edge_list
 from .theory import (
     a_max,

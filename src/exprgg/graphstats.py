@@ -45,16 +45,11 @@ def _last_axis_windows(cloud: PointCloud, y: float):
 
 
 def _column_grid(cloud: PointCloud, y: float, order: np.ndarray, axes: int):
-    """(index, cols) at d >= 2: a grid of columns on the first d - 1 axes over
-    the sorted ranks, and the first ``axes`` axes gathered in its column
-    order. Any cell width >= y finds every pair within y; a positive one
-    keeps y = 0 here even when 2^-52 of the indexed extent underflows."""
+    """(index, cols) at d >= 2: a grid of columns, fit to radius y, on the
+    first d - 1 axes of the points in last-axis rank order, and the first
+    ``axes`` axes gathered in its column order."""
     ranked = cloud.points[order, :axes]
-    ranked.setflags(write=False)  # so PointCloud takes it without a copy
-    indexed = ranked[:, :cloud.d - 1]
-    span = max(col.max() - col.min() for col in indexed.T)
-    index = build_grid_index(PointCloud(cloud.d - 1, indexed, cloud.seed, cloud.lam),
-                             max(y, span * 2**-52, math.ulp(0.0)))
+    index = build_grid_index(ranked[:, :cloud.d - 1], y)
     cols = ranked[index._members].T.copy()  # gathered once, in column order
     return index, cols
 

@@ -3,14 +3,14 @@ sweep, and the brute-force pairwise scan that serves as the correctness
 oracle of both.
 
 The grid is the fixed-radius cell method of Bentley, Stanat & Williams
-(IPL 6(6), 1977). With cell_size >= the radius y, every pair within y lies
-in the same or adjacent cells. For every d, each cell has one int64 key, so
-one sorted key array and one ``searchsorted`` serve every cell lookup. The
-index groups its vertices with one ``np.sort`` of the int64 ``key * n + id``,
-which orders them as a stable sort of the keys would, and stores its cells,
-that sorted array and the key deltas of offset 0 and of the lexicographically
-positive offsets. Pair enumeration walks the occupied cells one offset at a
-time.
+(IPL 6(6), 1977), over an (n, k) coordinate array. ``_fit_cells`` picks its
+cell width >= the radius y, so every pair within y lies in the same or
+adjacent cells. Each cell has one int64 key, so one sorted key array and one
+``searchsorted`` serve every cell lookup. The index groups its vertices with
+one ``np.sort`` of the int64 ``key * n + id``, which orders them as a stable
+sort of the keys would, and stores its cells, that sorted array and the key
+deltas of offset 0 and of the lexicographically positive offsets. Pair
+enumeration walks the occupied cells one offset at a time.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
@@ -42,57 +42,63 @@ _MAX_AXES = 12  # a walk visits 3^k cell offsets in Python; 3^12 takes seconds
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
 
-def _fit_cells(points: np.ndarray, cell_size: float) -> Tuple[np.ndarray, float, List[int]]:
+def _fit_cells(points: np.ndarray, radius: float) -> Tuple[np.ndarray, float, List[int]]:
     """Cell coordinates of ``points`` shifted so the lowest occupied cell is 1
     on every axis, the cell width used, and the per-axis key radix (occupied
     span plus a one-cell margin on each side, so +-1 neighbours have keys).
 
-    The width is ``cell_size`` unless the radix product times the point
-    count would overflow int64: every ``key * n + id`` must fit, or two
-    vertices could share a sort key. Then the width grows until the exact
-    product fits. Any width >= the query radius yields a superset of the
-    candidate pairs, and callers filter by distance, so coarsening never
-    changes a result.
+    The width is ``radius``, floored at 2^-52 of the widest axis's extent and
+    at the smallest subnormal so that radius 0 gets cells, then grown until
+    every cell coordinate is below 2^62 and every ``key * n + id`` fits int64
+    (else two vertices could share a sort key). Division rounds monotonically, so
+    each axis's extreme cells are those of its extreme coordinates: the loop
+    needs only those, as Python floats (which overflow to inf silently), and
+    the points are divided once. Any width >= the radius yields a superset
+    of the candidate pairs, which callers filter by distance.
     """
-    n, d = points.shape
+    n, k = points.shape
+    lo = [float(col.min()) for col in points.T]  # per column: faster than over axis 0
+    hi = [float(col.max()) for col in points.T]
+    top = max(hi)
+    width = max(float(radius), max(h - l for l, h in zip(lo, hi)) * 2**-52, math.ulp(0.0))
     while True:
-        scaled = np.floor(points / cell_size)
-        if float(scaled.max()) < _COORD_LIMIT:
-            coords = scaled.astype(np.int64)
-            lo = coords.min(axis=0) - 1
-            radix = [int(h) - int(l) + 2 for l, h in zip(lo, coords.max(axis=0))]
+        if top / width < _COORD_LIMIT:
+            first = [math.floor(l / width) - 1 for l in lo]
+            radix = [math.floor(h / width) - f + 2 for f, h in zip(first, hi)]
             excess = (math.prod(radix) * n).bit_length() - 63
             if excess <= 0:
-                return coords - lo, cell_size, radix
-            cell_size *= 2.0 ** max(1.0, excess / d)
+                break
+            width *= 2.0 ** max(1.0, excess / k)
         else:
-            cell_size = max(2.0 * cell_size, float(points.max()) / (_COORD_LIMIT / 4))
+            width = max(2.0 * width, top / (_COORD_LIMIT / 4))
+    shifted = np.floor(points / width).astype(np.int64)
+    shifted -= first
+    return shifted, width, radix
 
 
 class GridIndex:
-    """Uniform grid over a point cloud; cell (c1..cd) holds the vertices whose
-    point lies in [c_k*cell_size, (c_k+1)*cell_size) along every axis.
+    """Uniform grid over an (n, k) array of nonnegative finite coordinates;
+    cell (c1..ck) holds the rows whose point lies in [c_j*cell_size,
+    (c_j+1)*cell_size) along every axis j.
 
     A cell's key is a mixed radix over its coordinates, axis 0 most
     significant, so keys sort like coordinate tuples. ``cell_size`` is the
-    requested width unless the keys would overflow int64; then it is the
-    coarser width actually used (see ``_fit_cells``).
+    width ``_fit_cells`` picks for ``radius``.
 
     It stores its cells, its members' ``key * n + id`` in ascending order
     and the key deltas of offset 0 and of each lexicographically positive
     neighbour offset, the ones the pair walk visits.
     """
 
-    def __init__(self, cloud: PointCloud, cell_size: float):
-        if not cell_size > 0.0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        if cloud.d > _MAX_AXES:
-            raise ValueError(f"the grid index supports at most {_MAX_AXES} axes, got {cloud.d}")
-        shifted, self.cell_size, radix = _fit_cells(cloud.points, float(cell_size))
+    def __init__(self, points: np.ndarray, radius: float):
+        _check_nonnegative(radius, "radius")
+        n, k = points.shape
+        if k > _MAX_AXES:
+            raise ValueError(f"the grid index supports at most {_MAX_AXES} axes, got {k}")
+        shifted, self.cell_size, radix = _fit_cells(points, radius)
         keys = shifted[:, 0]
-        for k in range(1, cloud.d):
-            keys = keys * radix[k] + shifted[:, k]
-        n = cloud.n
+        for j in range(1, k):
+            keys = keys * radix[j] + shifted[:, j]
         # One sort of key * n + id orders the vertices by cell and, within a
         # cell, by id: the order of a stable argsort of the keys, several
         # times faster than that argsort and its gather.
@@ -104,10 +110,10 @@ class GridIndex:
         self._starts = np.concatenate((boundaries, [n]))
         self._cell_keys = sorted_keys[boundaries]  # ascending
         offsets = np.zeros(1, dtype=np.int64)
-        for k in range(cloud.d):
+        for j in range(k):
             # Axis 0 outermost: every radix is >= 3, so the deltas ascend, offset
             # 0 is the middle one, and the lexicographically positive follow it.
-            offsets = (offsets[:, None] + np.array([-1, 0, 1]) * math.prod(radix[k + 1:])).ravel()
+            offsets = (offsets[:, None] + np.array([-1, 0, 1]) * math.prod(radix[j + 1:])).ravel()
         self._offset_keys = offsets[len(offsets) // 2:].copy()  # not a view of them all
 
     @property
@@ -123,9 +129,9 @@ class GridIndex:
         return np.where(self._cell_keys[pos] == keys, pos, -1)
 
 
-def build_grid_index(cloud: PointCloud, cell_size: float) -> GridIndex:
-    """Index ``cloud`` with the given cell size (O(n log n) construction)."""
-    return GridIndex(cloud, cell_size)
+def build_grid_index(points: np.ndarray, radius: float) -> GridIndex:
+    """Index the rows of ``points`` for pairs within ``radius`` (O(n log n))."""
+    return GridIndex(points, radius)
 
 
 def _blocks(index: GridIndex) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:

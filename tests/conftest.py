@@ -5,6 +5,7 @@ clouds that the brute-force comparisons take as extra inputs, and a spy on
 the degree pass's pair enumerator."""
 
 import functools
+import math
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -91,6 +92,10 @@ def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
       window is wrong and must be repaired: a decimal lattice (k/10) at
       decimal y, and a continuous cloud at y equal to realised gaps
       |x_i - x_j|.
+    - Three coincident points at (7, 7) and (7, 7, 7), at y = 0 and the
+      smallest subnormal: the columns' extent is 0, so their width is the
+      subnormal floor, and 7 divided by it overflows unless the grid widens
+      before it divides.
     """
     rng = np.random.default_rng(2024)
     out = [
@@ -113,6 +118,7 @@ def tie_and_overflow_clouds() -> List[Tuple[PointCloud, Tuple[float, ...]]]:
         gaps[lo + gaps < hi][:2], below[lo + below >= hi][:2], gaps[gaps > 1.0][:1],
     ))
     out.append((make_cloud(xs), tuple(float(y) for y in np.unique(ys))))
+    out += [(make_cloud([[7.0] * d] * 3), (0.0, math.ulp(0.0))) for d in (2, 3)]
     return out
 
 

@@ -18,7 +18,6 @@ from conftest import (
 )
 from exprgg import (
     brute_force_edges,
-    build_grid_index,
     degree_ratios,
     degree_summary,
     edge_density_gap,
@@ -29,6 +28,7 @@ from exprgg import (
 from exprgg.experiments import from_jsonable, to_jsonable
 from exprgg.model import DegreeSummary
 from exprgg.sampling import derive_replication_seed, uniform_stream
+from exprgg.spatial import build_grid_index
 
 
 def summary_from_edges(n, edges):
@@ -151,7 +151,7 @@ def test_column_engine_matches_brute_force_at_its_edges():
     base = 1.0 + rng.exponential(size=(100, 4))
     steps = rng.choice([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], size=base.shape)
     points = np.concatenate((base, base + steps))
-    assert build_grid_index(make_cloud(points[:, :-1]), 1e-9).cell_size > 1e-9
+    assert build_grid_index(points[:, :-1], 1e-9).cell_size > 1e-9
     cases.append((make_cloud(points), (1e-9,)))
     cases += [(cloud, (y,)) for cloud, y in empty]
     for cloud, ys in cases:

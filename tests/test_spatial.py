@@ -13,7 +13,6 @@ from conftest import (
 )
 from exprgg import (
     brute_force_edges,
-    build_grid_index,
     degree_summary,
     edge_list,
     sample_exponential_cloud,
@@ -22,6 +21,7 @@ from exprgg.sampling import derive_replication_seed, uniform_stream
 from exprgg.spatial import (
     _CANDIDATE_CHUNK,
     _fit_cells,
+    build_grid_index,
     iter_candidate_pairs,
     sorted_window_ends,
 )
@@ -43,9 +43,9 @@ def cell_layout(index, cloud):
     return layout
 
 
-def vertex_keys(cloud, cell_size):
+def vertex_keys(cloud, radius):
     """Each vertex's cell key, computed from ``_fit_cells`` as the index does."""
-    shifted, _, radix = _fit_cells(cloud.points, cell_size)
+    shifted, _, radix = _fit_cells(cloud.points, radius)
     keys = shifted[:, 0]
     for k in range(1, cloud.d):
         keys = keys * radix[k] + shifted[:, k]
@@ -61,22 +61,28 @@ def with_constant_last_axis(cloud):
 
 def test_grid_single_point_at_origin():
     cloud = make_cloud([[0.0, 0.0]])
-    assert cell_layout(build_grid_index(cloud, 1.0), cloud) == {(0, 0): [0]}
+    assert cell_layout(build_grid_index(cloud.points, 1.0), cloud) == {(0, 0): [0]}
 
 
 def test_grid_two_cells():
     cloud = make_cloud([0.5, 1.5])
-    assert cell_layout(build_grid_index(cloud, 1.0), cloud) == {(0,): [0], (1,): [1]}
+    assert cell_layout(build_grid_index(cloud.points, 1.0), cloud) == {(0,): [0], (1,): [1]}
 
 
-def test_grid_rejects_nonpositive_cell():
-    with pytest.raises(ValueError):
-        build_grid_index(make_cloud([0.0]), 0.0)
+def test_grid_refuses_a_negative_radius_and_fits_zero():
+    points = make_cloud([0.0, 0.0, 3.0]).points
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            build_grid_index(points, radius)
+    # Radius 0 gets the width floor, 2^-52 of the extent: the grid still has cells.
+    index = build_grid_index(points, 0.0)
+    assert index.cell_size == 3.0 * 2.0**-52
+    assert cell_layout(index, make_cloud(points)) == {(0,): [0, 1], (2**52,): [2]}
 
 
 def test_grid_partitions_all_vertices():
     cloud = sample_exponential_cloud(10**4, 2, 1.0, seed=5)
-    index = build_grid_index(cloud, 0.25)
+    index = build_grid_index(cloud.points, 0.25)
     assert index.cell_size == 0.25
     # and every vertex sits in the cell its coordinates dictate
     seen = sum(cell_layout(index, cloud).values(), [])
@@ -175,7 +181,7 @@ def test_candidate_pairs_cover_adjacent_cells_once_in_bounded_chunks():
         starts = in_window.argmax(axis=1)
         ends = len(xs) - in_window[:, ::-1].argmax(axis=1)
         indexed = cloud.points[order, :-1]
-        index = build_grid_index(make_cloud(indexed), max(y, 2.0**-40))
+        index = build_grid_index(indexed, y)
         ranks = index._members
         cells = np.floor(indexed[ranks] / index.cell_size)
         near = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
@@ -240,7 +246,7 @@ def test_grid_widens_cells_whose_keys_would_overflow(monkeypatch):
     # At cell_size 1 the key radix product of these cells exceeds 2^63, and
     # cells (1, 1) and (2^32 + 1, 1) would share a key modulo 2^64.
     cloud = make_cloud([[1.0, 1.0], [1.0 + 2.0**32, 1.0], [1.0, 2.0**32 - 2], [1.5, 1.5]])
-    index = build_grid_index(cloud, 1.0)
+    index = build_grid_index(cloud.points, 1.0)
     assert index.cell_size > 1.0
     assert sorted(sum(cell_layout(index, cloud).values(), [])) == [0, 1, 2, 3]
     # The edge list builds that widened grid as its column grid.
@@ -255,8 +261,8 @@ def test_grid_order_is_a_stable_argsort_of_the_cell_keys():
     # argsort of the keys would, ties included, also on the widened grid.
     for cloud, ys in tie_and_overflow_clouds():
         for y in (0.0, *ys):
-            index = build_grid_index(cloud, max(y, 2.0**-40))
-            keys = vertex_keys(cloud, max(y, 2.0**-40))
+            index = build_grid_index(cloud.points, y)
+            keys = vertex_keys(cloud, y)
             order = np.argsort(keys, kind="stable")
             cell_keys, firsts = np.unique(keys[order], return_index=True)
             assert np.array_equal(index._members, order), (cloud.d, y)
@@ -272,7 +278,7 @@ def test_grid_widens_cells_whose_keys_times_n_would_overflow(monkeypatch):
     # column grid of the edge list widens by this rule alone.
     points = [[0.0, 0.0], [2.0**30, 2.0**29]] + [[0.5 * k, 0.5 * k] for k in range(30)]
     cloud = make_cloud(points)
-    index = build_grid_index(cloud, 1.0)
+    index = build_grid_index(cloud.points, 1.0)
     radix = (2**30 + 3) * (2**29 + 3)
     assert radix.bit_length() <= 63 and (radix * 32).bit_length() > 63
     assert index.cell_size > 1.0
@@ -286,6 +292,28 @@ def test_grid_widens_cells_whose_keys_times_n_would_overflow(monkeypatch):
     expected = brute_force_edges(wide, 1.0)
     assert len(expected) and np.array_equal(edge_list(wide, 1.0), expected)
     assert [call["index"].cell_size for call in calls] == [index.cell_size]
+
+
+def test_cell_bounds_come_from_the_coordinate_bounds():
+    # _fit_cells takes each axis's cell range from its lowest and highest
+    # coordinate alone; the cells of every point must then lie in that range,
+    # shifted so the lowest is 1, with a one-cell margin in the radix.
+    cases = [
+        (sample_exponential_cloud(2000, d, 1.0, seed=d), y) for d in (1, 2, 3) for y in (0.0, 0.1)
+    ]
+    cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in (0.0, *ys)]
+    # Far from the origin at radius 1: a cell coordinate would pass 2^62, so
+    # the width must grow for the coordinate limit.
+    far = make_cloud(2.0**70 + np.arange(50) * 2.0**18)
+    cases.append((far, 1.0))
+    for cloud, y in cases:
+        shifted, cell_size, radix = _fit_cells(cloud.points, y)
+        offset = np.floor(cloud.points / cell_size).astype(np.int64) - shifted
+        assert np.all(offset == offset[0]), (cloud.d, y)
+        assert np.all(shifted.min(axis=0) == 1), (cloud.d, y)
+        assert np.array_equal(shifted.max(axis=0) + 2, radix), (cloud.d, y)
+        assert math.prod(radix) * cloud.n < 2**63, (cloud.d, y)
+    assert _fit_cells(far.points, 1.0)[1] > 1.0
 
 
 def test_degree_pass_enumerates_no_same_cell_pair(monkeypatch):
