@@ -46,10 +46,20 @@ def _last_axis_windows(cloud: PointCloud, y: float):
 
 def _column_grid(cloud: PointCloud, y: float, order: np.ndarray, axes: int):
     """(index, cols) at d >= 2: a grid of columns, fit to radius y, on the
-    first d - 1 axes of the points in last-axis rank order, and the first
-    ``axes`` axes gathered in its column order."""
+    first k = min(d - 1, max(1, floor(log_9 n))) axes of the points in
+    last-axis rank order, and the first ``axes`` axes gathered in its column
+    order.
+
+    The pair walk visits (3^k + 1) / 2 cell offsets in Python, so 9^k <= n
+    bounds it by about sqrt(n) steps; further axes would mostly split cells
+    that already hold about one point. Every gathered axis is filtered by
+    exact distance, indexed or not, so k changes the work and not the answer.
+    """
+    k = 1
+    while k < cloud.d - 1 and 9 ** (k + 1) <= cloud.n:
+        k += 1
     ranked = cloud.points[order, :axes]
-    index = build_grid_index(ranked[:, :cloud.d - 1], y)
+    index = build_grid_index(ranked[:, :k], y)
     cols = ranked[index._members].T.copy()  # gathered once, in column order
     return index, cols
 
@@ -80,11 +90,11 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     its exact window of last-axis neighbours, which at d = 1 is its degree,
     with no pair enumerated. At d >= 2 degrees are tallied from the candidate
     pairs inside the windows in the same or adjacent columns of a grid on the
-    other axes, in vectorized chunks; memory stays O(n) plus one bounded
-    chunk. A column whose extent on every other axis is within y joins each
-    pair of its members inside a window, so its own pairs are counted from
-    their runs and only the others are enumerated. y = 0 takes the same paths
-    as any other y.
+    first of the other axes (``_column_grid``), in vectorized chunks; memory
+    stays O(n) plus one bounded chunk. A column whose extent on every other
+    axis is within y joins each pair of its members inside a window, so its
+    own pairs are counted from their runs and only the others are
+    enumerated. y = 0 takes the same paths as any other y.
 
     Degrees are counted in the order of the last-axis ranks and stay there:
     the edge count and the extremes need no vertex order. The summary maps

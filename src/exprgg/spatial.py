@@ -17,13 +17,15 @@ coordinates, so ``sorted_window_ends`` finds every window without
 enumerating a pair, and searches only the windows whose first gap is within
 y. At d = 1 the windows are the degrees and expand to the edges. At d >= 2
 the degrees, the y-grid edge counts and the edge list sort on the last axis
-and build the grid on the other d - 1 axes only, so its cells are columns.
+and build the grid on the first k = min(d - 1, max(1, floor(log_9 n))) of
+the other d - 1 axes, so its cells are columns; every axis it leaves out is
+still filtered by exact distance.
 Candidate pairs are then member positions in column order, each paired only
 with the members of its own and adjacent columns inside its last-axis
 window, expanded from contiguous runs in vectorized chunks; the Python-level
-work is O(3^(d-1)) steps plus one per chunk, not O(n) or O(pairs). The
+work is O(3^k) = O(sqrt(n)) steps plus one per chunk, not O(n) or O(pairs). The
 degree pass counts the same-column pairs of a column whose extent is within
-y on every indexed axis from their runs (``_same_cell_runs``) and enumerates
+y on every other axis from their runs (``_same_cell_runs``) and enumerates
 only the rest.
 """
 
@@ -38,7 +40,6 @@ from .model import PointCloud, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
-_MAX_AXES = 12  # a walk visits 3^k cell offsets in Python; 3^12 takes seconds
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
 
@@ -93,8 +94,6 @@ class GridIndex:
     def __init__(self, points: np.ndarray, radius: float):
         _check_nonnegative(radius, "radius")
         n, k = points.shape
-        if k > _MAX_AXES:
-            raise ValueError(f"the grid index supports at most {_MAX_AXES} axes, got {k}")
         shifted, self.cell_size, radix = _fit_cells(points, radius)
         keys = shifted[:, 0]
         for j in range(1, k):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from exprgg import brute_force_edges, sample_exponential_cloud
 from exprgg.cli import main
 
 
@@ -280,25 +281,35 @@ def test_nan_and_inf_parameters_exit_one(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, axes",
+    "argv",
     [
-        (["graph", "--d", "14", "--y", "0.5"], 13),
-        (["graph", "--d", "40", "--y", "0.5"], 39),
-        (["experiment", "uniform-slln", "--d", "14", "--reps", "1", "--out", "OUT"], 13),
+        ["graph", "--d", "14", "--y", "0.5"],
+        ["graph", "--d", "40", "--y", "0.5"],
+        ["experiment", "uniform-slln", "--d", "14", "--reps", "1", "--out", "OUT"],
     ],
     ids=["graph-d14", "graph-d40", "uniform-slln-d14"],
 )
-def test_grid_over_twelve_axes_refused_before_its_offset_walk(tmp_path, capsys, argv, axes):
-    # The index walks the 3^k offsets of its k axes; degree counts and the
-    # uniform-slln y-grid index the first d - 1 axes. Refused at once, not
-    # after minutes or ages.
+def test_grid_runs_at_any_d_within_a_second(tmp_path, capsys, argv):
+    # The column grid indexes at most floor(log_9 n) axes, so its offset walk
+    # takes O(sqrt(n)) steps at any d; 50 points index one axis.
     argv = [str(tmp_path / "x.csv") if a == "OUT" else a for a in argv]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--n", "50", "--lambda", "1", "--seed", "1")
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and out == ""
-    assert err == f"exprgg: error: the grid index supports at most 12 axes, got {axes}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert code == 0, err
+    assert out.startswith("n,d,") or (tmp_path / "x.csv").is_file()
+
+
+def test_graph_json_degrees_at_d40_match_brute_force(capsys):
+    # 39 axes gathered, one indexed: every axis left out of the grid is still
+    # filtered by exact distance. y = 3 gives edges; y = 0.5 gives none.
+    cloud = sample_exponential_cloud(50, 40, 1.0, 1)
+    for y in ("0.5", "3"):
+        code, out, _ = run_cli(capsys, "graph", "--n", "50", "--d", "40", "--lambda", "1",
+                               "--y", y, "--seed", "1", "--format", "json")
+        want = np.bincount(brute_force_edges(cloud, float(y)).ravel(), minlength=50)
+        assert code == 0 and json.loads(out)["degrees"] == want.tolist(), y
+        assert want.any() == (y == "3"), y
 
 
 def test_graph_csv_and_json(capsys):

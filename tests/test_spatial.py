@@ -17,6 +17,7 @@ from exprgg import (
     edge_list,
     sample_exponential_cloud,
 )
+from exprgg.graphstats import _edge_counts_multi
 from exprgg.sampling import derive_replication_seed, uniform_stream
 from exprgg.spatial import (
     _CANDIDATE_CHUNK,
@@ -146,8 +147,8 @@ def test_grid_matches_brute_force_on_random_clouds():
         realised = float(np.abs(cloud.points[0] - cloud.points[1]).max())
         cases += [(cloud, y), (cloud, realised)]
     cases += [(cloud, y) for cloud, ys in tie_and_overflow_clouds() for y in (0.0, *ys)]
-    # Many axes, each cloud with edges at y = 1, up to d = 13, where the
-    # column grid indexes 12 axes, the cap, and walks 3^12 offsets.
+    # Many axes, each cloud with edges at y = 1: 60 points index one of them
+    # and filter the others by distance.
     many_axes = [sample_exponential_cloud(60, d, 1.0, seed=d) for d in (6, 7, 8, 12, 13)]
     assert all(len(brute_force_edges(cloud, 1.0)) for cloud in many_axes)
     cases += [(cloud, 1.0) for cloud in many_axes]
@@ -157,6 +158,42 @@ def test_grid_matches_brute_force_on_random_clouds():
         if got.dtype != np.int64 or not np.array_equal(got, brute_force_edges(cloud, y)):
             mismatches.append(case)
     assert mismatches == []
+
+
+def test_multi_axis_column_grids_match_brute_force(monkeypatch):
+    # The column grid indexes k = min(d - 1, max(1, floor(log_9 n))) axes: at
+    # n = 9^k - 1 and n = 9^k it indexes one axis fewer and one more, and
+    # filters every other axis by distance alone. The edge list, the degrees
+    # and the y-grid counts must all match the oracle.
+    rng = np.random.default_rng(26)
+    shapes = [(9**k, d) for k in (2, 3, 4) for d in (k + 1, k + 3)]
+    shapes += [(9**3, d) for d in (14, 20, 40)]
+    clouds = []
+    for n, d in shapes:
+        y = -math.log(1.0 - (6.0 / (n - 1)) ** (1.0 / d))  # mean degree about 6
+        clouds.append((rng.exponential(size=(n, d)), (y / 4, y / 2, y)))
+    # A 1/8 lattice, where many pairs lie exactly y apart.
+    clouds.append((rng.integers(0, 24, size=(9**3, 5)) / 8.0, (0.25, 0.5, 1.0)))
+    calls = spy_on_candidate_pairs(monkeypatch)
+    for points, ys in clouds:
+        everything = brute_force_edges(make_cloud(points), ys[-1])
+        for n in (len(points) - 1, len(points)):
+            # The first n points: their edges are the oracle's rows that
+            # leave out the later points, so one scan serves both n.
+            cloud, d = make_cloud(points[:n]), points.shape[1]
+            expected = everything[everything[:, 1] < n]
+            assert len(expected), (n, d)
+            i, j = expected.T
+            dist = np.abs(cloud.points[i] - cloud.points[j]).max(axis=1)
+            counts = [np.count_nonzero(dist <= y) for y in ys]
+            assert np.array_equal(_edge_counts_multi(cloud, np.array(ys)), counts), (n, d)
+            assert np.array_equal(edge_list(cloud, ys[-1]), expected), (n, d)
+            calls.clear()
+            degrees = degree_summary(cloud, ys[-1]).degrees
+            assert np.array_equal(degrees, np.bincount(expected.ravel(), minlength=n)), (n, d)
+            (call,) = calls
+            k = min(d - 1, max(m for m in range(1, 8) if 9**m <= n))  # every n here is >= 9
+            assert len(call["index"]._offset_keys) == (3**k + 1) // 2, (n, d)
 
 
 def test_candidate_pairs_cover_adjacent_cells_once_in_bounded_chunks():
@@ -244,11 +281,14 @@ def test_sorted_window_ends_jumps_runs_of_equal_coordinates():
 
 def test_grid_widens_cells_whose_keys_would_overflow(monkeypatch):
     # At cell_size 1 the key radix product of these cells exceeds 2^63, and
-    # cells (1, 1) and (2^32 + 1, 1) would share a key modulo 2^64.
-    cloud = make_cloud([[1.0, 1.0], [1.0 + 2.0**32, 1.0], [1.0, 2.0**32 - 2], [1.5, 1.5]])
+    # cells (1, 1) and (2^32 + 1, 1) would share a key modulo 2^64. 77 more
+    # points, 3 apart on a line inside those bounds and far from the first
+    # four, join nothing: n = 81 = 9^2, so the column grid indexes both axes.
+    far = [[1.0 + 3.0 * k, 2.0**31] for k in range(77)]
+    cloud = make_cloud([[1.0, 1.0], [1.0 + 2.0**32, 1.0], [1.0, 2.0**32 - 2], [1.5, 1.5]] + far)
     index = build_grid_index(cloud.points, 1.0)
     assert index.cell_size > 1.0
-    assert sorted(sum(cell_layout(index, cloud).values(), [])) == [0, 1, 2, 3]
+    assert sorted(sum(cell_layout(index, cloud).values(), [])) == list(range(81))
     # The edge list builds that widened grid as its column grid.
     calls = spy_on_candidate_pairs(monkeypatch)
     wide = with_constant_last_axis(cloud)
@@ -273,17 +313,18 @@ def test_grid_order_is_a_stable_argsort_of_the_cell_keys():
 
 def test_grid_widens_cells_whose_keys_times_n_would_overflow(monkeypatch):
     # At cell_size 1 the radix product, (2^30 + 3)(2^29 + 3), fits int64, but
-    # times the 32 points it does not, so two sort keys key * n + id could
+    # times the 81 points it does not, so two sort keys key * n + id could
     # collide. Two axes, so that each span stays far below 2^52 cells and the
-    # column grid of the edge list widens by this rule alone.
-    points = [[0.0, 0.0], [2.0**30, 2.0**29]] + [[0.5 * k, 0.5 * k] for k in range(30)]
+    # column grid of the edge list widens by this rule alone; n = 81 = 9^2, so
+    # that grid indexes both.
+    points = [[0.0, 0.0], [2.0**30, 2.0**29]] + [[0.5 * k, 0.5 * k] for k in range(79)]
     cloud = make_cloud(points)
     index = build_grid_index(cloud.points, 1.0)
     radix = (2**30 + 3) * (2**29 + 3)
-    assert radix.bit_length() <= 63 and (radix * 32).bit_length() > 63
+    assert radix.bit_length() <= 63 and (radix * 81).bit_length() > 63
     assert index.cell_size > 1.0
     assert (int(index._cell_keys.max()) + 2) * cloud.n < 2**63
-    assert sorted(sum(cell_layout(index, cloud).values(), [])) == list(range(32))
+    assert sorted(sum(cell_layout(index, cloud).values(), [])) == list(range(81))
     keys = vertex_keys(cloud, 1.0)
     assert np.array_equal(index._members, np.argsort(keys, kind="stable"))
     # The edge list builds that widened grid as its column grid.
