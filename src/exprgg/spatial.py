@@ -19,14 +19,13 @@ y. At d = 1 the windows are the degrees and expand to the edges. At d >= 2
 the degrees, the y-grid edge counts and the edge list sort on the last axis
 and build the grid on the first k = min(d - 1, max(1, floor(log_9 n))) of
 the other d - 1 axes, so its cells are columns; every axis it leaves out is
-still filtered by exact distance.
-Candidate pairs are then member positions in column order, each paired only
-with the members of its own and adjacent columns inside its last-axis
-window, expanded from contiguous runs in vectorized chunks; the Python-level
-work is O(3^k) = O(sqrt(n)) steps plus one per chunk, not O(n) or O(pairs). The
-degree pass counts the same-column pairs of a column whose extent is within
-y on every other axis from their runs (``_same_cell_runs``) and enumerates
-only the rest.
+still filtered by exact distance. Candidate pairs are then member positions
+in column order, each paired only with the members of its own and adjacent
+columns inside its last-axis window, expanded from contiguous runs in
+vectorized chunks; the Python-level work is O(3^k) = O(sqrt(n)) steps plus
+one per chunk, not O(n) or O(pairs). The degree pass counts the
+same-column pairs of a column whose extent is within y on every other axis
+from their runs (``_same_cell_runs``) and enumerates only the rest.
 """
 
 from __future__ import annotations

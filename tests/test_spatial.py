@@ -161,8 +161,8 @@ def test_grid_matches_brute_force_on_random_clouds():
 
 
 def test_multi_axis_column_grids_match_brute_force(monkeypatch):
-    # The column grid indexes k = min(d - 1, max(1, floor(log_9 n))) axes: at
-    # n = 9^k - 1 and n = 9^k it indexes one axis fewer and one more, and
+    # The column grid indexes k = min(d - 1, max(1, floor(log_9 n))) axes,
+    # so n = 9^k - 1 and n = 9^k sit on either side of a step in k, and it
     # filters every other axis by distance alone. The edge list, the degrees
     # and the y-grid counts must all match the oracle.
     rng = np.random.default_rng(26)
