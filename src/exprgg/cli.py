@@ -34,7 +34,7 @@ from .experiments import (
     write_manifest,
 )
 from .graphstats import _edge_counts_multi, degree_summary, edge_list
-from .model import LogRegime, PointCloud, PowerFamily, _check_nonnegative
+from .model import BOUND_NAMES, LogRegime, PointCloud, PowerFamily, _check_nonnegative
 from .sampling import (
     derive_replication_seed,
     sample_exponential_cloud,
@@ -115,15 +115,9 @@ def _a_min_lines(args) -> List[str]:
     return [fmt17(root)]
 
 
-_BOUNDS_FIELDS = (
-    "lambda_pow_d", "a_min", "a_min_has_root", "a_max",
-    "min_liminf_bound", "min_limsup_bound", "max_liminf_bound", "max_limsup_bound",
-)
-
-
 def _bounds_lines(args) -> List[str]:
     tb = theory_bounds(args.c, args.lam, args.d)
-    return [f"{name}={_csv_cell(getattr(tb, name))}" for name in _BOUNDS_FIELDS]
+    return [f"{name}={_csv_cell(getattr(tb, name))}" for name in BOUND_NAMES]
 
 
 # Each closed-form quantity: its help, its flags, and the lines it prints.

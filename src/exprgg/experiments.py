@@ -24,6 +24,7 @@ import numpy as np
 
 from ._version import __version__ as ARTIFACT_VERSION
 from .model import (
+    BOUND_NAMES,
     DegreeSummary,
     EdgeDistanceFamily,
     LogRegime,
@@ -100,23 +101,6 @@ class ExperimentSpec:
         if self.family is not None:
             if self.family.lam != self.lam or self.family.d != self.d:
                 raise ValueError("family (lam, d) must match the spec's (lam, d)")
-        if kind.finite_c:
-            # The degree ratios divide by n * y_n^d; c = inf, or a finite c
-            # whose y_n overflows or underflows, would fail only after sampling,
-            # and so would a lam^d * c that the bounds cannot use.
-            theory_bounds(self.family.c, self.lam, self.d)
-            for n in n_list:
-                y = edge_distance(self.family, n)
-                try:
-                    scale = n * y**self.d
-                except OverflowError:
-                    scale = math.inf
-                if not (0.0 < y < math.inf and 0.0 < scale < math.inf):
-                    raise ValueError(
-                        f"{self.kind} needs a finite c with y_n and n * y_n^d finite and "
-                        f"positive: at n = {n}, c = {self.family.c} gives y_n = {y}, "
-                        f"n * y_n^d = {scale}"
-                    )
         if kind.y_grid:
             grid = () if self.y_grid is None else self.y_grid
             if not isinstance(grid, (list, tuple, np.ndarray)) or not all(
@@ -136,11 +120,10 @@ class ExperimentSpec:
         if kind.epsilon:
             if self.epsilon is None or not self.epsilon >= 0.0:
                 raise ValueError(f"{self.kind} requires epsilon >= 0")
-            object.__setattr__(self, "epsilon", _number(self.epsilon))
-            for n in n_list:
-                containment_radius(n, self.lam, self.d, self.epsilon)
+            object.__setattr__(self, "epsilon", _number(self.epsilon, "epsilon"))
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind} does not take epsilon")
+        kind.theory(self)  # a spec is valid when its kind's theory block builds
 
 
 @dataclass(frozen=True)
@@ -290,21 +273,32 @@ def _summary_threshold(spec: ExperimentSpec, rows: List[ResultRow], theory: dict
 
 
 def _theory_degree_law(spec: ExperimentSpec) -> dict:
+    """The BOUND_NAMES bounds and the envelope (2 lam)^d. The ratios divide by
+    n * y_n^d, so a c at which it or y_n is not finite and positive is refused."""
     tb = theory_bounds(spec.family.c, spec.lam, spec.d)
-    return {
-        "lambda_pow_d": tb.lambda_pow_d,
-        "a_min": tb.a_min,
-        "a_min_has_root": tb.a_min_has_root,
-        "a_max": tb.a_max,
-        "min_liminf_bound": tb.min_liminf_bound,
-        "min_limsup_bound": tb.min_limsup_bound,
-        "min_limsup_envelope": (2.0 * spec.lam) ** spec.d,
-        "max_liminf_bound": tb.max_liminf_bound,
-        "max_limsup_bound": tb.max_limsup_bound,
-    }
+    for n in spec.n_list:
+        y = edge_distance(spec.family, n)
+        try:
+            scale = n * y**spec.d
+        except OverflowError:
+            scale = math.inf
+        if not (0.0 < y < math.inf and 0.0 < scale < math.inf):
+            raise ValueError(
+                f"{spec.kind} needs a finite c with y_n and n * y_n^d finite and "
+                f"positive: at n = {n}, c = {spec.family.c} gives y_n = {y}, "
+                f"n * y_n^d = {scale}"
+            )
+    theory = {}
+    for name in BOUND_NAMES:
+        theory[name] = getattr(tb, name)
+        if name == "min_limsup_bound":
+            theory["min_limsup_envelope"] = (2.0 * spec.lam) ** spec.d
+    return theory
 
 
 def _theory_containment(spec: ExperimentSpec) -> dict:
+    for n in spec.n_list:
+        containment_radius(n, spec.lam, spec.d, spec.epsilon)  # refuses an infinite radius
     return {
         "predicted_escape_bounds": {
             str(n): min(1.0, spec.d * float(n) ** -spec.epsilon) for n in spec.n_list
@@ -328,7 +322,8 @@ class ExperimentKind:
     """One experiment kind: its own row columns for a sampled cloud, the summary of one
     n's rows given the theory block, and the manifest's theory block; plus the spec
     parameters it takes (accepted family types, none if empty; a y-grid; an escape
-    exponent epsilon) and whether its LogRegime c must be finite."""
+    exponent epsilon). A spec is valid when its theory block builds, so that is where
+    a kind refuses the parameters its laws cannot use."""
 
     columns: Callable[[ExperimentSpec, PointCloud], dict]
     summary: Callable[[ExperimentSpec, List[ResultRow], dict], dict]
@@ -336,13 +331,12 @@ class ExperimentKind:
     families: Tuple[type, ...] = ()
     y_grid: bool = False
     epsilon: bool = False
-    finite_c: bool = False
 
 
 EXPERIMENT_KINDS: Dict[str, ExperimentKind] = {
     "degree-law": ExperimentKind(
         partial(_graph_columns, own=_degree_law_columns), _summary_degree_law,
-        _theory_degree_law, families=(LogRegime,), finite_c=True,
+        _theory_degree_law, families=(LogRegime,),
     ),
     "edge-slln": ExperimentKind(
         partial(_graph_columns, own=_edge_slln_columns), _summary_edge_slln,

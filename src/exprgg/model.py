@@ -30,9 +30,12 @@ def _check_int(value: int, what: str) -> int:
     return int(value)
 
 
-def _number(value: float) -> Union[int, float]:
+def _number(value: float, what: str) -> Union[int, float]:
     """A checked parameter as a Python number: an integer type gives an int,
-    anything else a float, so a numpy scalar never reaches the JSON codec."""
+    anything else a float, so a numpy scalar never reaches the JSON codec.
+    Refuses bools, which would otherwise pass as the numbers 1 and 0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     return int(value) if isinstance(value, (int, np.integer)) else float(value)
 
 
@@ -46,7 +49,7 @@ def _check_seed(seed: int, what: str = "seed") -> int:
 def _check_rate(lam: float) -> Union[int, float]:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be a positive finite rate, got {lam}")
-    return _number(lam)
+    return _number(lam, "lam")
 
 
 def _check_dim(d: int) -> int:
@@ -222,7 +225,7 @@ class LogRegime:
             raise ValueError(f"c must be positive (or inf), got {self.c}")
         object.__setattr__(self, "lam", _check_rate(self.lam))
         object.__setattr__(self, "d", _check_dim(self.d))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", float(_number(self.c, "c")))
 
 
 @dataclass(frozen=True)
@@ -241,8 +244,8 @@ class PowerFamily:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         object.__setattr__(self, "lam", _check_rate(self.lam))
         object.__setattr__(self, "d", _check_dim(self.d))
-        object.__setattr__(self, "alpha", _number(self.alpha))
-        object.__setattr__(self, "beta", _number(self.beta))
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _number(self.beta, "beta"))
 
 
 EdgeDistanceFamily = Union[LogRegime, PowerFamily]
@@ -289,3 +292,10 @@ class TheoryBounds:
     @property
     def max_limsup_bound(self) -> float:
         return self.a_max * self.lambda_pow_d
+
+
+# TheoryBounds' fields and bounds, in the order that ``theory bounds`` prints them.
+BOUND_NAMES = (
+    "lambda_pow_d", "a_min", "a_min_has_root", "a_max",
+    "min_liminf_bound", "min_limsup_bound", "max_liminf_bound", "max_limsup_bound",
+)

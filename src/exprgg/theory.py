@@ -149,7 +149,7 @@ def _bisect(f, lo: float, hi: float, target: float, increasing: bool) -> float:
 
 def a_min(c: float, lam: float, d: int) -> Tuple[float, bool]:
     """The root in (0, 1) of a*log(a) - a + 1 = 1/(lam^d * c), scaling the
-    min-degree liminf bound.
+    min-degree liminf bound, checked by ``_checked_root``.
 
     Returns (root, True) when lam^d * c > 1, the root never below 1e-15;
     otherwise the equation has no root below 1 and (0.0, False) is returned,
@@ -163,21 +163,30 @@ def a_min(c: float, lam: float, d: int) -> Tuple[float, bool]:
         return 0.0, False
     lo = 1e-15
     if r >= _root_equation(lo):
-        return lo, True  # root is below the bracket floor; residual < 4e-14
-    root = _bisect(_root_equation, lo, 1.0, r, increasing=False)
-    return root, True
+        root = lo  # the root is below the bracket floor; residual < 4e-14
+    else:
+        root = _bisect(_root_equation, lo, 1.0, r, increasing=False)
+    return _checked_root(root, r, "a_min"), True
 
 
 def a_max(c: float, lam: float, d: int) -> float:
     """The root in [1, inf) of a*log(a) - a + 1 = 1/(lam^d * c), scaling the
-    max-degree limsup bound. c = inf gives 1.0."""
+    max-degree limsup bound, checked by ``_checked_root``. c = inf gives 1.0."""
     r = _root_target(c, lam, d)
     if math.isinf(c):
         return 1.0
     hi = 2.0
     while _root_equation(hi) < r:
         hi *= 2.0
-    return _bisect(_root_equation, 1.0, hi, r, increasing=True)
+    return _checked_root(_bisect(_root_equation, 1.0, hi, r, increasing=True), r, "a_max")
+
+
+def _checked_root(root: float, r: float, name: str) -> float:
+    """``root`` if |f(root) - r| <= ROOT_RESIDUAL_TOL * max(1, r), else ArithmeticError.
+    A converged bisection leaves about f'(a) * ulp(a), which grows like r * 2^-52."""
+    if abs(_root_equation(root) - r) > ROOT_RESIDUAL_TOL * max(1.0, r):
+        raise ArithmeticError(f"{name} residual exceeds tolerance")
+    return root
 
 
 def _root_target(c: float, lam: float, d: int) -> float:
@@ -210,21 +219,14 @@ def _root_target(c: float, lam: float, d: int) -> float:
 
 
 def theory_bounds(c: float, lam: float, d: int) -> TheoryBounds:
-    """Assemble lam^d and both roots into the four degree-law bounds.
+    """lam^d and both roots, as ``a_min`` and ``a_max`` solve and check them,
+    assembled into the four degree-law bounds.
 
     The equation depends on (c, lam, d) only through lam^d * c, so scaling
     lam and rescaling c accordingly leaves the roots unchanged.
     """
-    lo_root, has_root = a_min(c, lam, d)
-    hi_root = a_max(c, lam, d)
-    lam_d = lam**d
-    if not math.isinf(c):
-        r = _root_target(c, lam, d)
-        if has_root and abs(_root_equation(lo_root) - r) > ROOT_RESIDUAL_TOL:
-            raise ArithmeticError("a_min residual exceeds tolerance")
-        if abs(_root_equation(hi_root) - r) > ROOT_RESIDUAL_TOL:
-            raise ArithmeticError("a_max residual exceeds tolerance")
-    return TheoryBounds(lambda_pow_d=lam_d, a_min=lo_root, a_max=hi_root)
+    lo_root, _ = a_min(c, lam, d)
+    return TheoryBounds(lambda_pow_d=lam**d, a_min=lo_root, a_max=a_max(c, lam, d))
 
 
 def series_classifier(family: EdgeDistanceFamily) -> str:

@@ -11,8 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from exprgg import brute_force_edges, sample_exponential_cloud
+from exprgg import (
+    ExperimentSpec, LogRegime, PowerFamily, a_max, brute_force_edges, sample_exponential_cloud,
+)
 from exprgg.cli import main
+from exprgg.experiments import _csv_cell
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,37 @@ def test_theory_bounds_labeled_lines(capsys):
     assert lines["lambda_pow_d"] == "1"
     assert float(lines["a_max"]) == pytest.approx(1.7862731299, abs=1e-9)
     assert lines["a_min_has_root"] == "true"
+
+
+# (c, lambda, d) = (1e-6, 1, 1), (4, 0.5, 16) and (4, 0.01, 3) give r = 1/(lambda^d c)
+# of 1e6, 16384 and 2.5e5, where a converged root's residual exceeds an absolute 1e-12.
+@pytest.mark.parametrize("c, lam, d", [
+    (c, lam, d) for c in ("1e-6", "4", "1e3") for lam in ("0.01", "0.5", "1")
+    for d in ("1", "3", "16")
+])
+def test_theory_bounds_prints_the_roots_of_a_min_and_a_max(capsys, c, lam, d):
+    flags = ("--c", c, "--lambda", lam, "--d", d)
+    code, out, err = run_cli(capsys, "theory", "bounds", *flags)
+    assert code == 0, err
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    for quantity in ("a-min", "a-max"):
+        code, root, _ = run_cli(capsys, "theory", quantity, *flags)
+        assert code == 0
+        assert lines[quantity.replace("-", "_")] == root.strip()
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_theory_bounds_lines_are_the_degree_law_theory_block(tmp_path, capsys, d):
+    flags = ("--c", "4", "--lambda", "1.5", "--d", d)
+    code, out, _ = run_cli(capsys, "theory", "bounds", *flags)
+    assert code == 0
+    table = tmp_path / "x.csv"
+    code, _, _ = run_cli(capsys, "experiment", "degree-law", *flags, "--n", "100",
+                         "--reps", "1", "--seed", "1", "--out", str(table))
+    assert code == 0
+    theory = json.loads((tmp_path / "x.csv.manifest.json").read_text())["theory"]
+    assert theory.pop("min_limsup_envelope") == 3.0 ** int(d)
+    assert out == "".join(f"{name}={_csv_cell(value)}\n" for name, value in theory.items())
 
 
 # Every theory quantity, its stdout and its stderr, byte for byte.
@@ -631,6 +665,39 @@ def test_experiment_degree_law_refuses_overflowing_finite_c(tmp_path, capsys, mo
     assert code == 0 and out.exists()
 
 
+def test_experiment_containment_refuses_infinite_epsilon_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validation")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        capsys, "experiment", "containment", "--d", "1", "--lambda", "1", "--epsilon", "inf",
+        "--n", "50", "--reps", "1", "--seed", "1", "--out", str(out),
+    )
+    assert code == 1 and stdout == ""
+    assert err == ("exprgg: error: the containment radius (1 + epsilon) log n / lam must be "
+                   "finite and positive, got inf from lam=1.0, epsilon=inf, n=50\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_degree_law_runs_where_the_root_residual_grows(tmp_path, capsys):
+    # lambda^d * c = 4 / 2^16, so a_max = 2413.26 solves f(a) = 16384, and its
+    # converged residual exceeds an absolute 1e-12 but not 1e-12 * 16384.
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "degree-law", "--d", "16", "--lambda", "0.5", "--c", "4",
+        "--n", "200", "--reps", "1", "--seed", "1", "--out", str(out),
+    )
+    assert code == 0, err
+    assert out.read_text().splitlines()[1].startswith("degree-law,200,16,0.5,log,4,,0,")
+    theory = json.loads((tmp_path / "x.csv.manifest.json").read_text())["theory"]
+    assert theory["a_max"] == a_max(4.0, 0.5, 16)
+
+
 _DEGREE_LAW_SPEC = {"type": "ExperimentSpec", "kind": "degree-law", "n_list": [100], "d": 1,
                     "lambda": 1, "replications": 1, "base_seed": 1,
                     "family": {"type": "LogRegime", "c": 4, "lambda": 1, "d": 1}}
@@ -680,6 +747,49 @@ def test_experiment_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     (line,) = err.splitlines()
     assert message in line
     assert not (tmp_path / "x.csv").exists()
+
+
+_THRESHOLD_SPEC = {"type": "ExperimentSpec", "kind": "threshold", "n_list": [100], "d": 1,
+                   "lambda": 1, "replications": 1, "base_seed": 1,
+                   "family": {"type": "PowerFamily", "alpha": 1, "beta": 3, "lambda": 1, "d": 1}}
+_CONTAINMENT_SPEC = {"type": "ExperimentSpec", "kind": "containment", "n_list": [100], "d": 1,
+                     "lambda": 1, "replications": 1, "base_seed": 1, "epsilon": 0.5}
+
+
+# Each real-valued field: a spec that holds it, its keys there, and a constructor taking it.
+@pytest.mark.parametrize("spec, keys, build", [
+    (_UNIFORM_SPEC, ("lambda",),
+     lambda v: ExperimentSpec("uniform-slln", (100,), 2, v, 1, 1, y_grid=(0.5,))),
+    (_DEGREE_LAW_SPEC, ("family", "lambda"), lambda v: LogRegime(c=4.0, lam=v, d=1)),
+    (_DEGREE_LAW_SPEC, ("family", "c"), lambda v: LogRegime(c=v, lam=1.0, d=1)),
+    (_THRESHOLD_SPEC, ("family", "alpha"),
+     lambda v: PowerFamily(alpha=v, beta=3.0, lam=1.0, d=1)),
+    (_THRESHOLD_SPEC, ("family", "beta"),
+     lambda v: PowerFamily(alpha=1.0, beta=v, lam=1.0, d=1)),
+    (_CONTAINMENT_SPEC, ("epsilon",),
+     lambda v: ExperimentSpec("containment", (100,), 1, 1.0, 1, 1, epsilon=v)),
+], ids=["lambda", "family-lambda", "c", "alpha", "beta", "epsilon"])
+def test_real_spec_fields_refuse_booleans(tmp_path, capsys, spec, keys, build):
+    field = "lam" if keys[-1] == "lambda" else keys[-1]
+    data = json.loads(json.dumps(spec))
+    json_value = data
+    for key in keys[:-1]:
+        json_value = json_value[key]
+    json_value[keys[-1]] = True
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "experiment", spec["kind"], "--spec", str(path),
+                                "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"exprgg: error: {field} must be a number, got True\n"
+    assert not out.exists()
+    for value in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            build(value)
+    for value in (False, np.bool_(False)):  # refused by the range check or as a bool
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            build(value)
 
 
 def test_experiment_unwritable_path_exits_two(capsys, monkeypatch):

@@ -78,6 +78,19 @@ def test_spec_validation():
         small_spec(kind="unknown-kind")
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(family=LogRegime(c=math.inf, lam=1.0, d=1)), "needs a finite c"),
+    (dict(family=LogRegime(c=1e308, lam=1.0, d=1)), "n \\* y_n\\^d = inf"),
+    (dict(lam=1e-10, family=LogRegime(c=1e-300, lam=1e-10, d=1)), "lam\\^d \\* c must be"),
+    (dict(kind="containment", family=None, epsilon=math.inf), "containment radius"),
+], ids=["degree-law-inf-c", "degree-law-overflowing-c", "degree-law-subnormal-product",
+        "containment-inf-epsilon"])
+def test_spec_is_refused_where_its_theory_block_cannot_be_built(overrides, message):
+    # The refusal comes from constructing the spec, before run_experiment.
+    with pytest.raises(ValueError, match=message):
+        small_spec(**overrides)
+
+
 def test_threshold_rejects_vanishing_edge_distance():
     # a family that would force y_n = 0 cannot even be constructed
     with pytest.raises(ValueError):

@@ -206,6 +206,44 @@ def test_root_residuals_across_grid():
         assert abs(_root_equation(top) - r) <= 1e-12
 
 
+# The grid on which an absolute 1e-12 refused 316 of 3520 points: a converged
+# root's residual grows like r * 2^-52 with r = 1/(lam^d c).
+RESIDUAL_GRID = [
+    (c, lam, d)
+    for c in (1e-10, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 1e3, 1e6)
+    for lam in (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+    for d in range(1, 41)
+]
+
+
+def test_theory_bounds_accepts_every_valid_point_of_the_residual_grid():
+    solved = 0
+    for c, lam, d in RESIDUAL_GRID:
+        try:
+            tb = theory_bounds(c, lam, d)
+        except ValueError:  # lam^d * c or its reciprocal is not finite and positive
+            continue
+        assert (tb.a_min, tb.a_min_has_root) == a_min(c, lam, d)
+        assert tb.a_max == a_max(c, lam, d)
+        solved += 1
+    assert solved == 3520
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: a_max(4.0, 1.0, 1),
+    lambda: a_max(1e-6, 1.0, 1),  # r = 1e6, where the tolerance is 1e-6
+    lambda: a_min(4.0, 1.0, 1),  # r = 0.25 < 1: a root below 1, found by bisection
+    lambda: theory_bounds(4.0, 0.5, 16),
+], ids=["a-max", "a-max-large-r", "a-min", "bounds"])
+def test_root_residual_check_refuses_a_root_off_by_1e_9(monkeypatch, solve):
+    from exprgg import theory
+
+    bisect = theory._bisect
+    monkeypatch.setattr(theory, "_bisect", lambda *args, **kw: bisect(*args, **kw) * (1 + 1e-9))
+    with pytest.raises(ArithmeticError, match="residual exceeds tolerance"):
+        solve()
+
+
 def test_root_monotonicity_in_c():
     mins = [a_min(c, 1.0, 1)[0] for c in C_GRID]
     maxs = [a_max(c, 1.0, 1) for c in C_GRID]
