@@ -246,7 +246,7 @@ def _cmd_verify(args) -> int:
         case_seed = derive_replication_seed(args.seed, case)
         u = uniform_stream(case_seed, 4)
         n = min(2 + int(u[0] * (args.max_n - 1)), args.max_n)
-        d = 1 + int(u[1] * 3) % 3
+        d = 1 + int(u[1] * 5) % 5
         lam = 0.5 + 1.5 * u[2]
         y = float(u[3]) * 1.5 / lam
         cloud = sample_exponential_cloud(n, d, lam, derive_replication_seed(case_seed, 0))

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import (
-    IO, Callable, Dict, List, Optional, Sequence, Tuple, Union, get_args, get_type_hints,
+    Callable, Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints,
 )
 
 import numpy as np
@@ -30,6 +30,7 @@ from .model import (
     LogRegime,
     PointCloud,
     PowerFamily,
+    TextFile,
     TheoryBounds,
     _check_dim,
     _check_int,
@@ -37,6 +38,8 @@ from .model import (
     _check_seed,
     _number,
     fmt17,
+    read_text,
+    write_text,
 )
 from .graphstats import _edge_counts_multi, degree_ratios, degree_summary, edge_density_gap
 from .sampling import derive_replication_seed, sample_exponential_cloud
@@ -273,8 +276,8 @@ def _summary_threshold(spec: ExperimentSpec, rows: List[ResultRow], theory: dict
 
 
 def _theory_degree_law(spec: ExperimentSpec) -> dict:
-    """The BOUND_NAMES bounds and the envelope (2 lam)^d. The ratios divide by
-    n * y_n^d, so a c at which it or y_n is not finite and positive is refused."""
+    """The BOUND_NAMES bounds and the envelope (2 lam)^d, refused if infinite. The ratios
+    divide by n * y_n^d, so a c at which it or y_n is not finite and positive is refused."""
     tb = theory_bounds(spec.family.c, spec.lam, spec.d)
     for n in spec.n_list:
         y = edge_distance(spec.family, n)
@@ -288,11 +291,17 @@ def _theory_degree_law(spec: ExperimentSpec) -> dict:
                 f"positive: at n = {n}, c = {spec.family.c} gives y_n = {y}, "
                 f"n * y_n^d = {scale}"
             )
+    try:
+        envelope = (2.0 * spec.lam) ** spec.d
+    except OverflowError:
+        envelope = math.inf
+    if envelope == math.inf:
+        raise ValueError(f"(2 lambda)^d must be finite, got lambda={spec.lam}, d={spec.d}")
     theory = {}
     for name in BOUND_NAMES:
         theory[name] = getattr(tb, name)
         if name == "min_limsup_bound":
-            theory["min_limsup_envelope"] = (2.0 * spec.lam) ** spec.d
+            theory["min_limsup_envelope"] = envelope
     return theory
 
 
@@ -469,17 +478,9 @@ def render_table(table: Sequence[ResultRow], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
-def emit(table: Sequence[ResultRow], fmt: str, destination: Union[str, IO[str]]) -> None:
+def emit(table: Sequence[ResultRow], fmt: str, destination: TextFile) -> None:
     """Write ``table`` as CSV or JSON (fixed column set, 17-digit floats)."""
-    text = render_table(table, fmt)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        try:
-            with open(destination, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write table to {destination}: {exc}") from exc
+    write_text(destination, render_table(table, fmt), "table")
 
 
 def _scalar_type(hint) -> type:
@@ -528,9 +529,8 @@ def parse_table(text: str, fmt: str) -> List[ResultRow]:
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
-def read_table(path: str, fmt: str) -> List[ResultRow]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read(), fmt)
+def read_table(path: TextFile, fmt: str) -> List[ResultRow]:
+    return parse_table(read_text(path), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -626,20 +626,14 @@ def build_manifest(result: ExperimentResult, output_path: str, fmt: str) -> dict
 
 def write_manifest(result: ExperimentResult, output_path: str, fmt: str) -> str:
     path = manifest_path_for(output_path)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(build_manifest(result, output_path, fmt), fh, indent=2,
-                      allow_nan=False)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write manifest to {path}: {exc}") from exc
+    manifest = build_manifest(result, output_path, fmt)
+    write_text(path, json.dumps(manifest, indent=2, allow_nan=False) + "\n", "manifest")
     return path
 
 
-def spec_from_json_file(path: str) -> ExperimentSpec:
+def spec_from_json_file(path: TextFile) -> ExperimentSpec:
     """Load an ExperimentSpec from a spec JSON file or a run manifest."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_text(path))
     if isinstance(data, dict) and data.get("type") != "ExperimentSpec" and "spec" in data:
         data = data["spec"]
     obj = from_jsonable(data)

@@ -1,5 +1,5 @@
 """Domain types shared by every module: point clouds, degree summaries,
-edge-distance families and theoretical degree bounds.
+edge-distance families and theoretical degree bounds; and the one text writer and reader.
 
 All types are immutable after construction. Each stores only its inputs,
 derives what it can from them and validates the rest eagerly, so an
@@ -9,17 +9,39 @@ instance in hand is always well formed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Union
+from typing import IO, Union
 
 import numpy as np
 
 U64_MAX = 2**64 - 1
+TextFile = Union[str, os.PathLike, IO[str]]  # a path, or an open text stream
 
 
 def fmt17(x: float) -> str:
     """Render a float with 17 significant digits (enough to round-trip IEEE doubles)."""
     return format(float(x), ".17g")
+
+
+def write_text(destination: TextFile, text: str, what: str) -> None:
+    """Write ``text`` to a text stream as it is, or to a path as UTF-8 with "\\n" line ends."""
+    if hasattr(destination, "write"):
+        destination.write(text)
+        return
+    try:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
+
+
+def read_text(source: TextFile) -> str:
+    """The whole text of a text stream, or of a path read as UTF-8."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _check_int(value: int, what: str) -> int:

@@ -14,11 +14,10 @@ particular uniform draw forces the corresponding coordinate.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Union
-
 import numpy as np
 
-from .model import U64_MAX, PointCloud, _check_dim, _check_int, _check_rate, _check_seed, fmt17
+from .model import (U64_MAX, PointCloud, TextFile, _check_dim, _check_int, _check_rate,
+                    _check_seed, fmt17, read_text, write_text)
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -106,37 +105,20 @@ def sample_exponential_cloud(n: int, d: int, lam: float, seed: int) -> PointClou
     return PointCloud(d=d, points=u.reshape(n, d), seed=seed, lam=lam)
 
 
-def write_cloud(cloud: PointCloud, destination: Union[str, IO[str]]) -> None:
+def write_cloud(cloud: PointCloud, destination: TextFile) -> None:
     """Write a cloud in the one-point-per-line dump format (see README)."""
-    header = (
-        f"{CLOUD_HEADER_PREFIX} n={cloud.n} d={cloud.d} "
-        f"lambda={fmt17(cloud.lam)} seed={cloud.seed}\n"
-    )
-    lines = [header]
-    for row in cloud.points:
-        lines.append(" ".join(fmt17(v) for v in row) + "\n")
-    text = "".join(lines)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    header = (f"{CLOUD_HEADER_PREFIX} n={cloud.n} d={cloud.d} lambda={fmt17(cloud.lam)} "
+              f"seed={cloud.seed}\n")
+    rows = "".join(" ".join(fmt17(v) for v in row) + "\n" for row in cloud.points)
+    write_text(destination, header + rows, "cloud")
 
 
-def read_cloud(source: Union[str, IO[str], Iterable[str]]) -> PointCloud:
+def read_cloud(source: TextFile) -> PointCloud:
     """Parse a cloud dump written by :func:`write_cloud`."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    lines = read_text(source).splitlines()
     if not lines or not lines[0].startswith(CLOUD_HEADER_PREFIX):
         raise ValueError("not a cloud dump: missing 'exprgg-cloud v1' header")
-    fields = dict(
-        item.split("=", 1) for item in lines[0][len(CLOUD_HEADER_PREFIX):].split()
-    )
+    fields = dict(item.split("=", 1) for item in lines[0][len(CLOUD_HEADER_PREFIX):].split())
     for key in ("n", "d", "lambda", "seed"):
         if key not in fields:
             raise ValueError(f"cloud dump header is missing field {key!r}")

@@ -272,6 +272,18 @@ def test_sample_writes_dump(tmp_path, capsys):
     assert out == text
 
 
+def test_sample_unwritable_out_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.txt"
+    code, stdout, err = run_cli(
+        capsys, "sample", "--n", "3", "--d", "1", "--lambda", "1", "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"exprgg: I/O error: cannot write cloud to {out}: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_rejects_bad_args(capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "0", "--d", "1", "--lambda", "1", "--seed", "1")
     assert code == 1
@@ -429,9 +441,10 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     assert all(line.count(" in edge-counts") == 3 for line in lines)
     assert "edges" not in err and "degrees" not in err
     monkeypatch.undo()
-    # One edge dropped from each edge list that has any.
+    # One spurious row added to each edge list, empty or not.
     real_edges = cli.edge_list
-    monkeypatch.setattr(cli, "edge_list", lambda cloud, y: real_edges(cloud, y)[1:])
+    monkeypatch.setattr(cli, "edge_list",
+                        lambda cloud, y: np.concatenate([real_edges(cloud, y), [[0, 0]]]))
     code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
     assert code == 3
     assert out == "verify: 3 cases, 0 matched\n"
@@ -663,6 +676,26 @@ def test_experiment_degree_law_refuses_overflowing_finite_c(tmp_path, capsys, mo
     monkeypatch.undo()
     code, _, _ = run_cli(capsys, "experiment", "edge-slln", *argv, "--out", str(out))
     assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("d, lam", [("2", "1e154"), ("1", "1.7e308")],
+                         ids=["pow-overflows", "doubled-rate-overflows"])
+def test_experiment_degree_law_refuses_overflowing_envelope(tmp_path, capsys, monkeypatch, d, lam):
+    # lambda^d is finite, so the roots exist, but the envelope (2 lambda)^d is not
+    from exprgg import experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validation")
+
+    monkeypatch.setattr(experiments, "sample_exponential_cloud", no_sampling)
+    code, stdout, err = run_cli(
+        capsys, "experiment", "degree-law", "--d", d, "--lambda", lam, "--c", "1",
+        "--n", "100", "--reps", "1", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1 and stdout == ""
+    assert err == (f"exprgg: error: (2 lambda)^d must be finite, got lambda={float(lam)}, "
+                   f"d={d}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_containment_refuses_infinite_epsilon_before_sampling(

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,10 @@ def test_spec_validation():
     (dict(family=LogRegime(c=1e308, lam=1.0, d=1)), "n \\* y_n\\^d = inf"),
     (dict(lam=1e-10, family=LogRegime(c=1e-300, lam=1e-10, d=1)), "lam\\^d \\* c must be"),
     (dict(kind="containment", family=None, epsilon=math.inf), "containment radius"),
+    (dict(d=2, lam=1e154, family=LogRegime(c=1.0, lam=1e154, d=2)),
+     "\\(2 lambda\\)\\^d must be finite"),
 ], ids=["degree-law-inf-c", "degree-law-overflowing-c", "degree-law-subnormal-product",
-        "containment-inf-epsilon"])
+        "containment-inf-epsilon", "degree-law-overflowing-envelope"])
 def test_spec_is_refused_where_its_theory_block_cannot_be_built(overrides, message):
     # The refusal comes from constructing the spec, before run_experiment.
     with pytest.raises(ValueError, match=message):
@@ -354,6 +357,34 @@ def test_manifest_round_trip(tmp_path):
     assert spec_from_json_file(manifest_path) == spec
     # manifest carries the degree-law bounds including the doubled-rate envelope
     assert data["theory"]["min_limsup_envelope"] == 2.0
+
+
+def test_every_file_is_opened_as_utf8_with_untranslated_line_ends(tmp_path, monkeypatch):
+    # The table, the manifest and the cloud dump are all written through
+    # model.write_text, which opens a path with newline="", so "\n" is written
+    # as it is on every platform. CPython translates "\n" only on Windows, so
+    # the bytes of a file written here could not show a missing newline="".
+    from exprgg import model, read_cloud, read_table, write_cloud
+
+    opened = []
+
+    def spy(file, mode="r", **kwargs):
+        opened.append((os.path.basename(file), mode, kwargs))
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(model, "open", spy, raising=False)
+    res = run_experiment(small_spec(n_list=(50,), replications=1))
+    table, cloud = tmp_path / "t.csv", tmp_path / "c.txt"
+    emit(res.rows, "csv", str(table))
+    manifest = write_manifest(res, str(table), "csv")
+    write_cloud(sample_exponential_cloud(3, 1, 1.0, seed=1), cloud)
+    written = ("t.csv", "t.csv.manifest.json", "c.txt")
+    assert opened == [(name, "w", {"encoding": "utf-8", "newline": ""}) for name in written]
+    opened.clear()
+    assert read_table(table, "csv") == res.rows
+    assert spec_from_json_file(manifest) == res.spec
+    assert read_cloud(cloud).n == 3
+    assert opened == [(name, "r", {"encoding": "utf-8"}) for name in written]
 
 
 def test_spec_json_handles_infinite_c(tmp_path):

@@ -96,6 +96,25 @@ def test_cloud_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
+@pytest.mark.parametrize("n, d, lam, seed", [
+    (1, 1, 1.0, 0), (777, 3, 0.75, 5), (100, 13, 2.5, 2**64 - 1),
+])
+def test_cloud_is_the_inverse_cdf_of_the_stream(n, d, lam, seed):
+    # exponential_inverse_cdf is the sampler's hook: a cloud is its image of
+    # the seed's first n * d uniform words, bit for bit.
+    cloud = sample_exponential_cloud(n, d, lam, seed)
+    expected = exponential_inverse_cdf(uniform_stream(seed, n * d), lam)
+    assert np.array_equal(cloud.points.ravel(), expected)
+
+
+def test_a_smaller_cloud_is_a_prefix_of_a_larger_one():
+    # Point i consumes words i*d .. i*d+d-1, so the first m points of a cloud
+    # of size n are the cloud of size m at the same seed.
+    big = sample_exponential_cloud(5000, 3, 1.0, seed=11)
+    small = sample_exponential_cloud(777, 3, 1.0, seed=11)
+    assert np.array_equal(big.points[:777], small.points)
+
+
 def test_sampling_holds_two_cloud_sized_buffers():
     # The stream's words and one shift buffer, then the coordinates in place:
     # the shift buffer is gone before the result is allocated, and the
@@ -166,6 +185,7 @@ def test_cloud_dump_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# exprgg-cloud v1 n=17 d=3 lambda=0.75 seed=12345\n")
     assert read_cloud(str(path)) == cloud
+    assert read_cloud(path) == cloud  # an os.PathLike too
     # also via file objects
     buf = io.StringIO()
     write_cloud(cloud, buf)
