@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--spec", default=None, help="JSON spec or manifest to rerun")
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_exp.add_argument("--threads", type=int, default=None, help="0 = auto")
+    p_exp.add_argument("--threads", type=int, default=0, help="default 0 = one worker per CPU")
     p_exp.set_defaults(run=_cmd_experiment)
 
     return parser
@@ -318,17 +318,8 @@ def _cmd_experiment(args) -> int:
     for what, path in (("table", args.out), ("manifest", manifest_path_for(args.out))):
         if os.path.isdir(path):
             raise OSError(f"cannot write {what} to {path}: it is a directory")
-    threads = args.threads
-    if threads is None:
-        text = os.environ.get("EXPRGG_THREADS", "0")
-        try:
-            threads = int(text)
-        except ValueError:
-            raise ValueError(f"EXPRGG_THREADS must be an integer, got {text!r}") from None
-        if threads < 0:
-            raise ValueError(f"EXPRGG_THREADS must be >= 0, got {threads}")
     result = run_experiment(
-        spec, threads=threads, progress=lambda line: print(line, file=sys.stderr)
+        spec, threads=args.threads, progress=lambda line: print(line, file=sys.stderr)
     )
     emit(result.rows, args.format, args.out)
     manifest = write_manifest(result, args.out, args.format)

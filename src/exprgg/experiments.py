@@ -37,6 +37,7 @@ from .model import (
     _check_rate,
     _check_seed,
     _number,
+    _pow_or_inf,
     fmt17,
     read_text,
     write_text,
@@ -281,20 +282,14 @@ def _theory_degree_law(spec: ExperimentSpec) -> dict:
     tb = theory_bounds(spec.family.c, spec.lam, spec.d)
     for n in spec.n_list:
         y = edge_distance(spec.family, n)
-        try:
-            scale = n * y**spec.d
-        except OverflowError:
-            scale = math.inf
+        scale = n * _pow_or_inf(y, spec.d)
         if not (0.0 < y < math.inf and 0.0 < scale < math.inf):
             raise ValueError(
                 f"{spec.kind} needs a finite c with y_n and n * y_n^d finite and "
                 f"positive: at n = {n}, c = {spec.family.c} gives y_n = {y}, "
                 f"n * y_n^d = {scale}"
             )
-    try:
-        envelope = (2.0 * spec.lam) ** spec.d
-    except OverflowError:
-        envelope = math.inf
+    envelope = _pow_or_inf(2.0 * spec.lam, spec.d)
     if envelope == math.inf:
         raise ValueError(f"(2 lambda)^d must be finite, got lambda={spec.lam}, d={spec.d}")
     theory = {}
@@ -499,6 +494,8 @@ def _parse_cell(column: str, raw):
     if raw is None or raw == "":
         return None
     kind = _COLUMN_TYPES[column]
+    if isinstance(raw, bool) and kind is not bool:
+        raise ValueError(f"boolean {raw!r} in column {column}, which holds no booleans")
     if kind is bool and not isinstance(raw, bool):
         if raw not in ("true", "false"):
             raise ValueError(f"bad boolean {raw!r} in column {column}")
@@ -525,12 +522,21 @@ def parse_table(text: str, fmt: str) -> List[ResultRow]:
         return rows
     if fmt == "json":
         data = json.loads(text)
+        if not isinstance(data, list):
+            raise ValueError(f"JSON table must be a list of rows, got {type(data).__name__}")
+        for i, obj in enumerate(data):
+            if not isinstance(obj, dict):
+                raise ValueError(f"JSON table row {i} must be an object, got {type(obj).__name__}")
+            odd = sorted(obj.keys() ^ _COLUMN_TYPES.keys())
+            if odd:
+                raise ValueError(f"JSON table row {i} must have exactly the table columns; "
+                                 f"missing or unexpected: {', '.join(odd)}")
         return [_row_from_cells(obj) for obj in data]
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
 def read_table(path: TextFile, fmt: str) -> List[ResultRow]:
-    return parse_table(read_text(path), fmt)
+    return parse_table(read_text(path, "table"), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +639,10 @@ def write_manifest(result: ExperimentResult, output_path: str, fmt: str) -> str:
 
 def spec_from_json_file(path: TextFile) -> ExperimentSpec:
     """Load an ExperimentSpec from a spec JSON file or a run manifest."""
-    data = json.loads(read_text(path))
+    try:
+        data = json.loads(read_text(path, "spec"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot read spec from {path}: {exc}") from exc
     if isinstance(data, dict) and data.get("type") != "ExperimentSpec" and "spec" in data:
         data = data["spec"]
     obj = from_jsonable(data)

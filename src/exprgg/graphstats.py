@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import DegreeSummary, PointCloud, _check_dim, _check_nonnegative
+from .model import DegreeSummary, PointCloud, _check_dim, _check_nonnegative, _pow_or_inf
 from .spatial import (
     _ranges,
     _same_cell_runs,
@@ -237,7 +237,7 @@ def degree_ratios(summary: DegreeSummary, y: float, d: int) -> Tuple[float, floa
     _check_dim(d)
     if y == 0.0:
         raise ValueError("degree ratios are undefined at y = 0")
-    denom = summary.n * y**d
+    denom = summary.n * _pow_or_inf(y, d)
     if not math.isfinite(denom):
         raise ValueError(f"n * y^d overflows for y={y}, d={d}")
     return summary.min_degree / denom, summary.max_degree / denom

@@ -36,12 +36,18 @@ def write_text(destination: TextFile, text: str, what: str) -> None:
         raise OSError(f"cannot write {what} to {destination}: {exc}") from exc
 
 
-def read_text(source: TextFile) -> str:
-    """The whole text of a text stream, or of a path read as UTF-8."""
+def read_text(source: TextFile, what: str) -> str:
+    """The whole text of a text stream, or of a path read as UTF-8; a path that cannot
+    be opened or decoded is named in the OSError or ValueError."""
     if hasattr(source, "read"):
         return source.read()
-    with open(source, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {what} from {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {what} from {source}: {exc}") from exc
 
 
 def _check_int(value: int, what: str) -> int:
@@ -79,6 +85,14 @@ def _check_dim(d: int) -> int:
     if value < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     return value
+
+
+def _pow_or_inf(x: float, d: int) -> float:
+    """x**d, or inf where the float power overflows."""
+    try:
+        return x**d
+    except OverflowError:
+        return math.inf
 
 
 def _check_nonnegative(value: float, name: str) -> None:

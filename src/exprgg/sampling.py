@@ -52,13 +52,13 @@ def derive_replication_seed(base_seed: int, index: int) -> int:
     return mix64(base_seed + (index + 1) * GOLDEN)
 
 
-def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Words ``offset .. offset+count-1`` of the uniform stream, in (0, 1]."""
+def uniform_stream(seed: int, count: int) -> np.ndarray:
+    """Words ``0 .. count-1`` of the uniform stream, in (0, 1]."""
     _check_seed(seed)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     # In place, with one shift buffer: no temporary per mixing step.
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(GOLDEN)
     z += np.uint64(seed)
     t = np.empty_like(z)
@@ -115,7 +115,7 @@ def write_cloud(cloud: PointCloud, destination: TextFile) -> None:
 
 def read_cloud(source: TextFile) -> PointCloud:
     """Parse a cloud dump written by :func:`write_cloud`."""
-    lines = read_text(source).splitlines()
+    lines = read_text(source, "cloud").splitlines()
     if not lines or not lines[0].startswith(CLOUD_HEADER_PREFIX):
         raise ValueError("not a cloud dump: missing 'exprgg-cloud v1' header")
     fields = dict(item.split("=", 1) for item in lines[0][len(CLOUD_HEADER_PREFIX):].split())

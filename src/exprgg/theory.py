@@ -11,7 +11,7 @@ from typing import Tuple
 
 from .model import (
     EdgeDistanceFamily, LogRegime, PowerFamily, TheoryBounds,
-    _check_dim, _check_nonnegative, _check_rate,
+    _check_dim, _check_nonnegative, _check_rate, _pow_or_inf,
 )
 
 ROOT_RESIDUAL_TOL = 1e-12
@@ -201,10 +201,7 @@ def _root_target(c: float, lam: float, d: int) -> float:
         raise ValueError(f"c must be positive (or inf), got {c}")
     _check_rate(lam)
     _check_dim(d)
-    try:
-        lam_d = lam**d
-    except OverflowError:
-        lam_d = math.inf
+    lam_d = _pow_or_inf(lam, d)
     if not 0.0 < lam_d < math.inf:
         raise ValueError(f"lam^d must be finite and positive, got lam={lam}, d={d}")
     if math.isinf(c):

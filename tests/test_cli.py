@@ -551,34 +551,22 @@ CONTAINMENT_ARGV = ("experiment containment --d 2 --lambda 1 --n 100 --reps 3 --
                     "--epsilon 0.5").split()
 
 
-def test_experiment_env_var_threads(tmp_path, capsys, monkeypatch):
-    for value in ("4", " 2"):
-        monkeypatch.setenv("EXPRGG_THREADS", value)
-        out = tmp_path / f"env{value.strip()}.csv"
-        code, _, _ = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out))
-        assert code == 0
-        assert out.exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["abc", "1.5", "empty"])
-def test_experiment_env_var_threads_must_be_an_integer(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("EXPRGG_THREADS", value)
-    out = tmp_path / "env.csv"
-    code, _, err = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out))
-    assert (code, err) == (1, f"exprgg: error: EXPRGG_THREADS must be an integer, got {value!r}\n")
-    assert not out.exists()
-
-
-def test_experiment_env_var_threads_must_be_nonnegative(tmp_path, capsys, monkeypatch):
-    # The line names the variable, so it reads apart from --threads -1.
-    monkeypatch.setenv("EXPRGG_THREADS", "-1")
-    out = tmp_path / "env.csv"
-    code, _, err = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out))
-    assert (code, err) == (1, "exprgg: error: EXPRGG_THREADS must be >= 0, got -1\n")
-    monkeypatch.delenv("EXPRGG_THREADS")
+def test_experiment_negative_threads_exits_one(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
     code, _, err = run_cli(capsys, *CONTAINMENT_ARGV, "--out", str(out), "--threads", "-1")
     assert (code, err) == (1, "exprgg: error: threads must be >= 0, got -1\n")
     assert not out.exists()
+
+
+def test_experiment_ignores_the_threads_environment_variable(tmp_path, capsys, monkeypatch):
+    # Only --threads sets the worker count, and the output never depends on it.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *CONTAINMENT_ARGV, "--out", "a.csv", "--threads", "1")[0] == 0
+    monkeypatch.setenv("EXPRGG_THREADS", "abc")
+    assert run_cli(capsys, *CONTAINMENT_ARGV, "--out", "b.csv")[0] == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    first, second = ((tmp_path / f"{out}.manifest.json").read_text() for out in ("a.csv", "b.csv"))
+    assert second == first.replace('"path": "a.csv"', '"path": "b.csv"')
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
@@ -823,6 +811,48 @@ def test_real_spec_fields_refuse_booleans(tmp_path, capsys, spec, keys, build):
     for value in (False, np.bool_(False)):  # refused by the range check or as a bool
         with pytest.raises(ValueError, match=f"^{field} must be "):
             build(value)
+
+
+_DEGREE_LAW_ARGV = ["experiment", "degree-law", "--d", "1", "--lambda", "1", "--c", "4",
+                    "--seed", "1", "--out", "x.csv"]
+
+
+@pytest.mark.parametrize("files, argv, code, line", [
+    ({}, ["verify", "--cases", "0", "--max-n", "5", "--seed", "1"], 1,
+     "exprgg: error: verify needs --cases >= 1 and --max-n >= 2"),
+    ({}, [*_DEGREE_LAW_ARGV, "--n", "10"], 1,
+     "exprgg: error: missing required flags: --reps (or use --spec)"),
+    ({}, [*_DEGREE_LAW_ARGV, "--n", "10", "--reps", "1", "--alpha", "1"], 1,
+     "exprgg: error: give either --c or --alpha/--beta, not both"),
+    ({}, [*_DEGREE_LAW_ARGV, "--n", "1", "--reps", "1"], 1,
+     "exprgg: error: every n must be >= 2"),
+    ({}, "experiment degree-law --d 2 --lambda 1e-10 --c 1e300 --n 10 --reps 1 --seed 1 "
+     "--out x.csv".split(), 1,
+     "exprgg: error: degree-law needs a finite c with y_n and n * y_n^d finite and positive: "
+     "at n = 10, c = 1e+300 gives y_n = 4.798525912188081e+159, n * y_n^d = inf"),
+    ({"s.json": json.dumps(_CONTAINMENT_SPEC).encode()},
+     ["experiment", "degree-law", "--spec", "s.json", "--out", "x.csv"], 1,
+     "exprgg: error: spec file is for 'containment' but the command line says 'degree-law'"),
+    ({"s.json": json.dumps(_DEGREE_LAW_SPEC["family"]).encode()},
+     ["experiment", "degree-law", "--spec", "s.json", "--out", "x.csv"], 1,
+     "exprgg: error: s.json does not contain an experiment spec"),
+    ({"bad.json": b"\xff{}"}, ["experiment", "degree-law", "--spec", "bad.json", "--out", "x.csv"],
+     1, "exprgg: error: cannot read spec from bad.json: 'utf-8' codec can't decode byte 0xff "
+     "in position 0: invalid start byte"),
+    ({"s.json": b'{"kind": '}, ["experiment", "degree-law", "--spec", "s.json", "--out", "x.csv"],
+     1, "exprgg: error: cannot read spec from s.json: Expecting value: line 1 column 10 (char 9)"),
+    ({}, ["experiment", "degree-law", "--spec", "s.json", "--out", "x.csv"], 2,
+     "exprgg: I/O error: cannot read spec from s.json: [Errno 2] No such file or directory: "
+     "'s.json'"),
+], ids=["verify-no-cases", "missing-reps", "c-and-alpha", "n-one", "overflowing-scale",
+        "spec-for-another-kind", "spec-holds-a-family", "spec-not-utf8", "spec-not-json",
+        "spec-missing"])
+def test_refusal_lines(tmp_path, monkeypatch, capsys, files, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_cli(capsys, *argv) == (code, "", line + "\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_unwritable_path_exits_two(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from exprgg import (
     brute_force_edges,
     emit,
     parse_table,
+    read_table,
     run_experiment,
     sample_exponential_cloud,
     theory_bounds,
@@ -77,6 +78,11 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError):
         small_spec(kind="unknown-kind")
+    with pytest.raises(ValueError, match="^uniform-slln requires a nonempty y_grid$"):
+        ExperimentSpec(
+            kind="uniform-slln", n_list=(50,), d=1, lam=1.0, replications=1,
+            base_seed=0, y_grid=(),
+        )
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -344,6 +350,58 @@ def test_emit_round_trip_and_cross_format_equality():
     json.loads(json_buf.getvalue())
 
 
+def _first_json_row(change):
+    """An edit of a rendered JSON table that applies ``change`` to its first row."""
+    def edit(text):
+        rows = json.loads(text)
+        change(rows[0])
+        return json.dumps(rows)
+    return edit
+
+
+@pytest.mark.parametrize("fmt, edit, message", [
+    ("csv", lambda text: text.replace("experiment,", "kind,", 1),
+     "CSV table has a missing or unexpected header"),
+    ("csv", lambda text: text + "edge-slln,60\n", "CSV row has 2 fields, expected 19"),
+    ("csv", lambda text: text[:-1] + "yes\n", "bad boolean 'yes' in column has_edge"),
+    ("json", lambda text: '{"a": 1}', "JSON table must be a list of rows, got dict"),
+    ("json", lambda text: "[1]", "JSON table row 0 must be an object, got int"),
+    ("json", _first_json_row(lambda row: row.pop("gap")),
+     "JSON table row 0 must have exactly the table columns; missing or unexpected: gap"),
+    ("json", _first_json_row(lambda row: row.update(bogus=3)),
+     "JSON table row 0 must have exactly the table columns; missing or unexpected: bogus"),
+    ("json", _first_json_row(lambda row: row.update(n=True)),
+     "boolean True in column n, which holds no booleans"),
+    ("xml", lambda text: text, "unknown format 'xml'; expected 'csv' or 'json'"),
+], ids=["csv-header", "csv-short-row", "csv-bad-boolean", "json-object", "json-row-not-object",
+        "json-missing-column", "json-unexpected-column", "json-boolean-number", "unknown-format"])
+def test_parse_table_refuses_what_render_table_never_writes(fmt, edit, message):
+    rows = run_experiment(small_spec(kind="edge-slln", n_list=(60,), replications=1)).rows
+    text = edit(render_table(rows, "json" if fmt == "json" else "csv"))
+    with pytest.raises(ValueError) as refused:
+        parse_table(text, fmt)
+    assert str(refused.value) == message
+
+
+def test_render_table_refuses_an_unknown_format():
+    rows = run_experiment(small_spec(n_list=(50,), replications=1)).rows
+    with pytest.raises(ValueError, match="^unknown format 'xml'; expected 'csv' or 'json'$"):
+        render_table(rows, "xml")
+
+
+def test_read_table_errors_name_the_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"\xffexperiment\n")
+    with pytest.raises(ValueError) as refused:
+        read_table(path, "csv")
+    assert str(refused.value) == (f"cannot read table from {path}: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 0: invalid start byte")
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(OSError) as refused:
+        read_table(missing, "csv")
+    assert str(refused.value).startswith(f"cannot read table from {missing}: [Errno 2] ")
+
+
 def test_manifest_round_trip(tmp_path):
     spec = small_spec(n_list=(50,), replications=2)
     res = run_experiment(spec)
@@ -364,7 +422,7 @@ def test_every_file_is_opened_as_utf8_with_untranslated_line_ends(tmp_path, monk
     # model.write_text, which opens a path with newline="", so "\n" is written
     # as it is on every platform. CPython translates "\n" only on Windows, so
     # the bytes of a file written here could not show a missing newline="".
-    from exprgg import model, read_cloud, read_table, write_cloud
+    from exprgg import model, read_cloud, write_cloud
 
     opened = []
 

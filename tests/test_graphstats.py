@@ -376,6 +376,13 @@ def test_degree_ratio_rejects_y_zero():
         degree_ratios(summ, 0.0, 1)
 
 
+@pytest.mark.parametrize("y", [1e154, 1e200])  # n * y^d overflows; y^d too at 1e200
+def test_degree_ratio_refuses_an_overflowing_scale(y):
+    with pytest.raises(ValueError) as refused:
+        degree_ratios(DegreeSummary([1, 1, 0]), y, 2)
+    assert str(refused.value) == f"n * y^d overflows for y={y}, d=2"
+
+
 @pytest.mark.parametrize(
     "degrees, y, lam, d",
     [

@@ -27,6 +27,8 @@ def test_point_cloud_valid():
 _POINT_CLOUD_REFUSALS = [
     (dict(d=2, points=[[0.0, 1.0], [2.5]], seed=0, lam=1.0), None),  # ragged
     (dict(d=3, points=[[0.0, 1.0]], seed=0, lam=1.0), "dimension mismatch"),
+    (dict(d=1, points=[0.0, 1.0, 2.0], seed=0, lam=1.0),
+     "^points must be a 2-d array, got shape \\(3,\\)$"),
     (dict(d=1, points=[[-0.1]], seed=0, lam=1.0), "must be >= 0"),  # negative coordinate
     (dict(d=1, points=[[math.inf]], seed=0, lam=1.0), "must be finite"),
     (dict(d=1, points=np.empty((0, 1)), seed=0, lam=1.0), "at least one point"),  # n = 0
@@ -122,6 +124,8 @@ def test_theory_bounds_fields():
         TheoryBounds(lambda_pow_d=1.0, a_min=1.2, a_max=1.5)
     with pytest.raises(ValueError):
         TheoryBounds(lambda_pow_d=1.0, a_min=0.9, a_max=0.5)
+    with pytest.raises(ValueError, match="^lambda_pow_d must be positive, got 0.0$"):
+        TheoryBounds(lambda_pow_d=0.0, a_min=0.5, a_max=2.0)
     assert tb.a_min_has_root
     assert not TheoryBounds(lambda_pow_d=1.0, a_min=0.0, a_max=1.5).a_min_has_root
 

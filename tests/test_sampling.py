@@ -81,11 +81,11 @@ def test_forced_uniform_draw_gives_log_two():
         exponential_inverse_cdf(0.5, math.inf)
 
 
-def test_uniform_stream_range_and_offset():
+def test_uniform_stream_range():
     u = uniform_stream(7, 10**5)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
-    # offset slices the same stream
-    assert list(uniform_stream(7, 5, offset=3)) == list(uniform_stream(7, 8)[3:])
+    with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+        uniform_stream(1, -1)
 
 
 def test_cloud_determinism():
@@ -199,3 +199,26 @@ def test_cloud_dump_rejects_garbage(tmp_path):
         read_cloud(str(path))
     with pytest.raises(ValueError, match="missing field 'lambda'"):
         read_cloud(io.StringIO("# exprgg-cloud v1 n=1 d=1 seed=3\n0.5\n"))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.5 1.0\n", "cloud dump announces n=2 but has 1 point lines"),
+    ("0.5 1.0 2.0\n0.5 1.0 2.0\n", "cloud dump announces d=2 but rows disagree"),
+], ids=["n", "d"])
+def test_cloud_dump_refuses_a_body_its_header_does_not_describe(body, message):
+    with pytest.raises(ValueError) as refused:
+        read_cloud(io.StringIO("# exprgg-cloud v1 n=2 d=2 lambda=1 seed=3\n" + body))
+    assert str(refused.value) == message
+
+
+def test_cloud_dump_read_errors_name_the_file(tmp_path):
+    path = tmp_path / "cloud.txt"
+    path.write_bytes(b"\xff# exprgg-cloud v1 n=1 d=1 lambda=1 seed=3\n0.5\n")
+    with pytest.raises(ValueError) as refused:
+        read_cloud(path)
+    assert str(refused.value) == (f"cannot read cloud from {path}: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 0: invalid start byte")
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(OSError) as refused:
+        read_cloud(missing)
+    assert str(refused.value).startswith(f"cannot read cloud from {missing}: [Errno 2] ")

@@ -77,15 +77,27 @@ def test_pair_connect_prob_monotonicity():
         (lambda: a_max(math.inf, 1e200, 2), "lam\\^d must be finite and positive"),
         (lambda: a_max(1e-300, 1e-10, 1), "lam\\^d \\* c must be finite and positive"),
         (lambda: a_min(1e300, 1e10, 1), "lam\\^d \\* c must be finite and positive"),
+        (lambda: chernoff_upper_tail(0, 0.5, 1.0), "^n must be >= 1, got 0$"),
+        (lambda: chernoff_upper_tail(10, 1.0, 10.0), "^p must lie in \\(0, 1\\), got 1.0$"),
+        (lambda: containment_radius(1, 1.0, 1), "^n must be >= 2, got 1$"),
+        (lambda: a_max(0.0, 1.0, 1), "^c must be positive \\(or inf\\), got 0.0$"),
     ],
     ids=["p-nan-y", "p-inf-lam", "radius-nan-epsilon", "radius-inf-lam", "a-min-inf-lam",
          "a-max-inf-lam", "radius-subnormal-lam", "radius-inf-epsilon",
          "a-min-underflowing-lam-d", "bounds-overflowing-lam-d", "a-max-inf-c-overflowing-lam-d",
-         "a-max-subnormal-product", "a-min-overflowing-product"],
+         "a-max-subnormal-product", "a-min-overflowing-product", "chernoff-n-zero",
+         "chernoff-p-one", "radius-n-one", "a-max-zero-c"],
 )
 def test_refuses_parameters_outside_the_laws_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("law", [lambda f: edge_distance(f, 10), series_classifier],
+                         ids=["edge-distance", "series-classifier"])
+def test_family_laws_refuse_an_object_that_is_not_a_family(law):
+    with pytest.raises(TypeError, match="^unknown edge-distance family 'log'$"):
+        law("log")
 
 
 def test_h_function_values():
