@@ -108,8 +108,8 @@ def _add_flags(parser, names, required: bool = True, **overrides) -> None:
 
 
 def _a_min_lines(args) -> List[str]:
-    root, has_root = a_min(args.c, args.lam, args.d)
-    if not has_root:
+    root = a_min(args.c, args.lam, args.d)
+    if root == 0.0:
         print("note: no root below 1 (lambda^d * c <= 1); bound degenerates to 0",
               file=sys.stderr)
     return [fmt17(root)]

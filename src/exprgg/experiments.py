@@ -427,8 +427,6 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, float):
         return fmt17(v)
     return str(v)
@@ -490,12 +488,26 @@ _COLUMN_TYPES = {
 }
 
 
-def _parse_cell(column: str, raw):
-    if raw is None or raw == "":
+# What the writer puts in a JSON cell of each column type, besides null: a
+# float column's non-finite values are the strings _NON_FINITE.
+_JSON_CELLS = {
+    int: ("an integer", int), float: ("a number or 'inf', '-inf' or 'nan'", (int, float)),
+    str: ("a string", str), bool: ("a boolean", bool),
+}
+_NON_FINITE = ("inf", "-inf", "nan")
+
+
+def _parse_cell(column: str, raw, from_json: bool = False):
+    """A CSV cell's text, or a JSON cell's value, as its column's type; None
+    for a blank CSV cell or a JSON null."""
+    if raw is None or raw == "" and not from_json:
         return None
     kind = _COLUMN_TYPES[column]
     if isinstance(raw, bool) and kind is not bool:
         raise ValueError(f"boolean {raw!r} in column {column}, which holds no booleans")
+    what, types = _JSON_CELLS[kind]
+    if from_json and not (isinstance(raw, types) or kind is float and raw in _NON_FINITE):
+        raise ValueError(f"column {column} takes {what} in a JSON table, got {raw!r}")
     if kind is bool and not isinstance(raw, bool):
         if raw not in ("true", "false"):
             raise ValueError(f"bad boolean {raw!r} in column {column}")
@@ -503,12 +515,15 @@ def _parse_cell(column: str, raw):
     return kind(raw)  # float() accepts 'inf'
 
 
-def _row_from_cells(cells: Dict[str, object]) -> ResultRow:
-    return ResultRow(*(_parse_cell(col, cells.get(col)) for col in CSV_COLUMNS))
+def _row_from_cells(cells: Dict[str, object], from_json: bool = False) -> ResultRow:
+    return ResultRow(*(_parse_cell(col, cells.get(col), from_json) for col in CSV_COLUMNS))
 
 
 def parse_table(text: str, fmt: str) -> List[ResultRow]:
-    """Inverse of :func:`render_table`."""
+    """Inverse of :func:`render_table`. A CSV cell is text, converted by its
+    column's type. A JSON cell must already hold what the writer writes in
+    its column: null, or an integer, a number (or the string of a non-finite
+    one), a string or a boolean; anything else is refused, naming the column."""
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
@@ -531,12 +546,17 @@ def parse_table(text: str, fmt: str) -> List[ResultRow]:
             if odd:
                 raise ValueError(f"JSON table row {i} must have exactly the table columns; "
                                  f"missing or unexpected: {', '.join(odd)}")
-        return [_row_from_cells(obj) for obj in data]
+        return [_row_from_cells(obj, from_json=True) for obj in data]
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
 def read_table(path: TextFile, fmt: str) -> List[ResultRow]:
-    return parse_table(read_text(path, "table"), fmt)
+    """The rows of a table file; every refusal names the file."""
+    text = read_text(path, "table")
+    try:
+        return parse_table(text, fmt)
+    except ValueError as exc:  # a JSONDecodeError too
+        raise ValueError(f"cannot read table from {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -84,17 +84,18 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     """Degrees, edge count and degree extremes of the graph G_n(y) on ``cloud``.
 
     Two vertices are adjacent iff their l-inf distance is <= y (inclusive).
-    Two exact returns count nothing: when y covers the cloud's extent on
-    every axis the graph is complete, and when every gap between neighbours
-    sorted on the last axis exceeds y it is empty. Otherwise each vertex gets
-    its exact window of last-axis neighbours, which at d = 1 is its degree,
-    with no pair enumerated. At d >= 2 degrees are tallied from the candidate
-    pairs inside the windows in the same or adjacent columns of a grid on the
-    first of the other axes (``_column_grid``), in vectorized chunks; memory
-    stays O(n) plus one bounded chunk. A column whose extent on every other
-    axis is within y joins each pair of its members inside a window, so its
-    own pairs are counted from their runs and only the others are
-    enumerated. y = 0 takes the same paths as any other y.
+    When every gap between neighbours sorted on the last axis exceeds y the
+    graph is empty. Otherwise each vertex gets its exact window of last-axis
+    neighbours, which at d = 1 is its degree, at any y up to inf, with no
+    pair enumerated. At d >= 2 a y that covers every axis's extent returns
+    the complete graph before the column engine enumerates its pairs; else
+    degrees are tallied from the candidate pairs inside the windows in the
+    same or adjacent columns of a grid on the first of the other axes
+    (``_column_grid``), in vectorized chunks; memory stays O(n) plus one
+    bounded chunk. A column whose extent on every other axis is within y
+    joins each pair of its members inside a window, so its own pairs are
+    counted from their runs and only the others are enumerated. y = 0 takes
+    the same paths as any other y.
 
     Degrees are counted in the order of the last-axis ranks and stay there:
     the edge count and the extremes need no vertex order. The summary maps
@@ -105,11 +106,10 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     n = cloud.n
     _check_graph_size(n)
     _check_nonnegative(y, "y")
+    key = cloud.points[:, -1]
     # One reduction per axis column: reducing the (n, d) array over axis 0
     # is about 15x slower at d = 2.
-    span = np.array([col.max() - col.min() for col in cloud.points.T])
-    key = cloud.points[:, -1]
-    if np.all(span <= y):
+    if cloud.d > 1 and all(col.max() - col.min() <= y for col in cloud.points.T):
         # Complete graph: subtraction is monotone in each operand, so every
         # pair's computed distance is at most the computed span.
         return DegreeSummary._in_rank_order(np.full(n, n - 1, dtype=np.int64), key)

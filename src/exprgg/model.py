@@ -88,9 +88,9 @@ def _check_dim(d: int) -> int:
 
 
 def _pow_or_inf(x: float, d: int) -> float:
-    """x**d, or inf where the float power overflows."""
+    """x**d as a float, correctly rounded for an int x, or inf where it overflows."""
     try:
-        return x**d
+        return float(x**d)
     except OverflowError:
         return math.inf
 

@@ -47,30 +47,27 @@ def _fit_cells(points: np.ndarray, radius: float) -> Tuple[np.ndarray, float, Li
     on every axis, the cell width used, and the per-axis key radix (occupied
     span plus a one-cell margin on each side, so +-1 neighbours have keys).
 
-    The width is ``radius``, floored at 2^-52 of the widest axis's extent and
-    at the smallest subnormal so that radius 0 gets cells, then grown until
-    every cell coordinate is below 2^62 and every ``key * n + id`` fits int64
-    (else two vertices could share a sort key). Division rounds monotonically, so
-    each axis's extreme cells are those of its extreme coordinates: the loop
-    needs only those, as Python floats (which overflow to inf silently), and
-    the points are divided once. Any width >= the radius yields a superset
-    of the candidate pairs, which callers filter by distance.
+    The width is ``radius``, floored at 2^-52 of the widest axis's extent, at
+    the smallest subnormal so that radius 0 gets cells, and at 2^-61 of the
+    largest coordinate so that every cell coordinate is below 2^62, then
+    grown until every ``key * n + id`` fits int64 (else two vertices could
+    share a sort key). Division rounds monotonically, so each axis's extreme
+    cells are those of its extreme coordinates: the loop needs only those,
+    and the points are divided once. Any width >= the radius yields a
+    superset of the candidate pairs, which callers filter by distance.
     """
     n, k = points.shape
     lo = [float(col.min()) for col in points.T]  # per column: faster than over axis 0
     hi = [float(col.max()) for col in points.T]
-    top = max(hi)
-    width = max(float(radius), max(h - l for l, h in zip(lo, hi)) * 2**-52, math.ulp(0.0))
+    width = max(float(radius), max(h - l for l, h in zip(lo, hi)) * 2**-52, math.ulp(0.0),
+                max(hi) / (_COORD_LIMIT / 2))
     while True:
-        if top / width < _COORD_LIMIT:
-            first = [math.floor(l / width) - 1 for l in lo]
-            radix = [math.floor(h / width) - f + 2 for f, h in zip(first, hi)]
-            excess = (math.prod(radix) * n).bit_length() - 63
-            if excess <= 0:
-                break
-            width *= 2.0 ** max(1.0, excess / k)
-        else:
-            width = max(2.0 * width, top / (_COORD_LIMIT / 4))
+        first = [math.floor(l / width) - 1 for l in lo]
+        radix = [math.floor(h / width) - f + 2 for f, h in zip(first, hi)]
+        excess = (math.prod(radix) * n).bit_length() - 63
+        if excess <= 0:
+            break
+        width *= 2.0 ** max(1.0, excess / k)
     shifted = np.floor(points / width).astype(np.int64)
     shifted -= first
     return shifted, width, radix
@@ -259,7 +256,7 @@ def iter_matched_blocks(index: GridIndex) -> Iterator[Tuple[np.ndarray, np.ndarr
 
 
 def sorted_window_ends(xs: np.ndarray, y: float) -> Optional[np.ndarray]:
-    """For ascending ``xs`` and finite y >= 0, ``ends[i]`` is one past the
+    """For ascending ``xs`` and y >= 0, inf included, ``ends[i]`` is one past the
     last j with fl(xs[j] - xs[i]) <= y, so i's forward window is
     [i + 1, ends[i]); None when every forward window is empty.
 

@@ -7,7 +7,6 @@ equation, and the edge-count series dichotomy.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 from .model import (
     EdgeDistanceFamily, LogRegime, PowerFamily, TheoryBounds,
@@ -90,8 +89,6 @@ def edge_distance(family: EdgeDistanceFamily, n) -> float:
     if not n >= 2:
         raise ValueError(f"edge-distance families need n >= 2, got {n}")
     if isinstance(family, LogRegime):
-        if math.isinf(family.c):
-            return math.inf
         return (family.c * math.log(n) / n) ** (1.0 / family.d) / family.lam
     if isinstance(family, PowerFamily):
         return (family.alpha * float(n) ** -family.beta) ** (1.0 / family.d)
@@ -147,26 +144,25 @@ def _bisect(f, lo: float, hi: float, target: float, increasing: bool) -> float:
     return lo if flo <= fhi else hi
 
 
-def a_min(c: float, lam: float, d: int) -> Tuple[float, bool]:
+def a_min(c: float, lam: float, d: int) -> float:
     """The root in (0, 1) of a*log(a) - a + 1 = 1/(lam^d * c), scaling the
     min-degree liminf bound, checked by ``_checked_root``.
 
-    Returns (root, True) when lam^d * c > 1, the root never below 1e-15;
-    otherwise the equation has no root below 1 and (0.0, False) is returned,
-    a degenerate-but-usable bound.
-    c = inf gives (1.0, True).
+    The root exists when lam^d * c > 1 and is never below 1e-15; otherwise
+    the equation has no root below 1 and 0.0, a degenerate-but-usable bound,
+    is returned. c = inf gives 1.0.
     """
     r = _root_target(c, lam, d)
     if math.isinf(c):
-        return 1.0, True
+        return 1.0
     if r >= 1.0:
-        return 0.0, False
+        return 0.0
     lo = 1e-15
     if r >= _root_equation(lo):
         root = lo  # the root is below the bracket floor; residual < 4e-14
     else:
         root = _bisect(_root_equation, lo, 1.0, r, increasing=False)
-    return _checked_root(root, r, "a_min"), True
+    return _checked_root(root, r, "a_min")
 
 
 def a_max(c: float, lam: float, d: int) -> float:
@@ -222,8 +218,8 @@ def theory_bounds(c: float, lam: float, d: int) -> TheoryBounds:
     The equation depends on (c, lam, d) only through lam^d * c, so scaling
     lam and rescaling c accordingly leaves the roots unchanged.
     """
-    lo_root, _ = a_min(c, lam, d)
-    return TheoryBounds(lambda_pow_d=lam**d, a_min=lo_root, a_max=a_max(c, lam, d))
+    # The roots come first, so that they refuse an overflowing lam^d.
+    return TheoryBounds(a_min=a_min(c, lam, d), a_max=a_max(c, lam, d), lambda_pow_d=lam**d)
 
 
 def series_classifier(family: EdgeDistanceFamily) -> str:

@@ -153,8 +153,8 @@ def test_criterion_3_root_correctness(report):
         failures.append(f"a_max(1) off e by {e_err:.2e}")
     for c in C_GRID:
         r = 1.0 / c
-        root, has_root = a_min(c, 1.0, 1)
-        if not has_root or abs(_root_equation(root) - r) > 1e-12:
+        root = a_min(c, 1.0, 1)
+        if not root > 0.0 or abs(_root_equation(root) - r) > 1e-12:
             failures.append(f"a_min residual at c={c}")
         if abs(_root_equation(a_max(c, 1.0, 1)) - r) > 1e-12:
             failures.append(f"a_max residual at c={c}")
@@ -165,7 +165,7 @@ def test_criterion_3_root_correctness(report):
         (1.0, 1.0, 1, False), (0.9, 1.0, 1, False), (0.25, 2.0, 1, False),
         (1.0, 1.0, 3, False), (1.1, 1.0, 1, True), (0.5, 2.0, 2, True),
     ]:
-        if a_min(c, lam, d)[1] != expect_root:
+        if (a_min(c, lam, d) > 0.0) != expect_root:
             failures.append(f"no-root flag wrong at c={c}, lam={lam}, d={d}")
     report(3, "root correctness", not failures,
            f"e error {e_err:.1e}, Taylor error {taylor_err:.1e}, "
@@ -223,7 +223,7 @@ def test_criterion_7_degree_laws(cli_runs, report, console):
     max_ratios = per_n(rows, "max_ratio")
     lam_d = 1.0
     envelope = 2.0**1  # (2*lam)^d
-    lo_root = a_min(4.0, 1.0, 1)[0]
+    lo_root = a_min(4.0, 1.0, 1)
     hi_root = a_max(4.0, 1.0, 1)
     mean_max = float(max_ratios[100000].mean())
     mean_min = float(min_ratios[100000].mean())

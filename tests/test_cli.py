@@ -726,6 +726,20 @@ _UNIFORM_SPEC = {"type": "ExperimentSpec", "kind": "uniform-slln", "n_list": [10
                  "lambda": 1, "replications": 1, "base_seed": 1, "y_grid": [0.5]}
 
 
+def test_spec_with_an_int_lambda_whose_power_overflows_exits_one(tmp_path, capsys):
+    # An int lambda's exact lambda^d never overflows, but the float arithmetic
+    # of the roots would; the refusal names lambda as the spec gives it.
+    family = {**_DEGREE_LAW_SPEC["family"], "lambda": 10, "d": 400}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_DEGREE_LAW_SPEC, "lambda": 10, "d": 400, "family": family}))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "experiment", "degree-law", "--spec", str(path),
+                                "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "exprgg: error: lam^d must be finite and positive, got lam=10, d=400\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

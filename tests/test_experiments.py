@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -372,15 +373,58 @@ def _first_json_row(change):
      "JSON table row 0 must have exactly the table columns; missing or unexpected: bogus"),
     ("json", _first_json_row(lambda row: row.update(n=True)),
      "boolean True in column n, which holds no booleans"),
+    ("json", _first_json_row(lambda row: row.update(n=60.7)),
+     "column n takes an integer in a JSON table, got 60.7"),
+    ("json", _first_json_row(lambda row: row.update(gap="0.5")),
+     "column gap takes a number or 'inf', '-inf' or 'nan' in a JSON table, got '0.5'"),
+    ("json", _first_json_row(lambda row: row.update(family=5)),
+     "column family takes a string in a JSON table, got 5"),
+    ("json", _first_json_row(lambda row: row.update(has_edge="true")),
+     "column has_edge takes a boolean in a JSON table, got 'true'"),
     ("xml", lambda text: text, "unknown format 'xml'; expected 'csv' or 'json'"),
 ], ids=["csv-header", "csv-short-row", "csv-bad-boolean", "json-object", "json-row-not-object",
-        "json-missing-column", "json-unexpected-column", "json-boolean-number", "unknown-format"])
+        "json-missing-column", "json-unexpected-column", "json-boolean-number",
+        "json-float-integer", "json-string-number", "json-number-string", "json-string-boolean",
+        "unknown-format"])
 def test_parse_table_refuses_what_render_table_never_writes(fmt, edit, message):
     rows = run_experiment(small_spec(kind="edge-slln", n_list=(60,), replications=1)).rows
     text = edit(render_table(rows, "json" if fmt == "json" else "csv"))
     with pytest.raises(ValueError) as refused:
         parse_table(text, fmt)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("spec", [
+    small_spec(n_list=(50,), replications=2),
+    small_spec(kind="edge-slln", n_list=(50,), replications=2),
+    small_spec(kind="edge-slln", n_list=(50,), replications=2,
+               family=LogRegime(c=math.inf, lam=1.0, d=1)),
+    small_spec(kind="threshold", n_list=(50,), replications=2),
+    small_spec(kind="threshold", n_list=(50,), replications=2,
+               family=PowerFamily(alpha=1.0, beta=1.5, lam=1.0, d=1)),
+    small_spec(kind="uniform-slln", n_list=(50,), replications=2, family=None,
+               y_grid=(0.2, 0.6)),
+    small_spec(kind="containment", n_list=(50,), replications=2, family=None, epsilon=0.5),
+], ids=["degree-law", "edge-slln", "edge-slln-c-inf", "threshold-log", "threshold-power",
+        "uniform-slln", "containment"])
+def test_every_kind_table_parses_back_to_its_rows(spec):
+    rows = run_experiment(spec).rows
+    if getattr(spec.family, "c", None) == math.inf:  # non-finite cells are JSON strings
+        assert '"param1": "inf"' in render_table(rows, "json")
+    for fmt in ("csv", "json"):
+        assert parse_table(render_table(rows, fmt), fmt) == rows, fmt
+
+
+def test_numpy_integer_cells_write_the_bytes_of_python_ints():
+    rows = run_experiment(small_spec(n_list=(50,), replications=2)).rows
+    ints = ("n", "d", "replication", "epsilon_n", "min_degree", "max_degree")
+    numpy_rows = [
+        dataclasses.replace(row, seed=np.uint64(row.seed),
+                            **{name: np.int64(getattr(row, name)) for name in ints})
+        for row in rows
+    ]
+    for fmt in ("csv", "json"):
+        assert render_table(numpy_rows, fmt) == render_table(rows, fmt), fmt
 
 
 def test_render_table_refuses_an_unknown_format():
@@ -400,6 +444,19 @@ def test_read_table_errors_name_the_file(tmp_path):
     with pytest.raises(OSError) as refused:
         read_table(missing, "csv")
     assert str(refused.value).startswith(f"cannot read table from {missing}: [Errno 2] ")
+    # A table that does not parse, a JSON one cut short too, names the file.
+    rows = run_experiment(small_spec(kind="edge-slln", n_list=(60,), replications=1)).rows
+    cut = tmp_path / "cut.json"
+    cut.write_text(render_table(rows, "json")[:20])
+    with pytest.raises(ValueError) as refused:
+        read_table(cut, "json")
+    assert str(refused.value) == (f"cannot read table from {cut}: Unterminated string "
+                                  "starting at: line 2 column 18 (char 19)")
+    path.write_text(render_table(rows, "csv").replace("experiment,", "kind,", 1))
+    with pytest.raises(ValueError) as refused:
+        read_table(path, "csv")
+    assert str(refused.value) == (f"cannot read table from {path}: "
+                                  "CSV table has a missing or unexpected header")
 
 
 def test_manifest_round_trip(tmp_path):

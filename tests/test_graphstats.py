@@ -118,6 +118,23 @@ def test_matches_brute_force_on_random_clouds():
             assert degree_summary(cloud, y) == DegreeSummary(expected), (cloud.d, y)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_complete_graph_exit_runs_at_d_two_and_up_only(monkeypatch, d):
+    # At d = 1 the sorted sweep answers a y that covers the cloud's span, inf
+    # included: every window reaches n. At d >= 2 the exit returns first, so
+    # the column engine never enumerates the pairs across its cell boundaries.
+    from exprgg import graphstats
+
+    sweeps, sweep = [], graphstats.sorted_window_ends
+    monkeypatch.setattr(graphstats, "sorted_window_ends",
+                        lambda xs, y: sweeps.append(y) or sweep(xs, y))
+    cloud = sample_exponential_cloud(300, d, 1.0, 5)
+    span = float(np.ptp(cloud.points, axis=0).max())
+    for y in (math.inf, span):
+        assert degree_summary(cloud, y) == DegreeSummary(np.full(300, 299)), y
+    assert sweeps == ([math.inf, span] if d == 1 else [])
+
+
 def test_column_engine_matches_brute_force_at_its_edges():
     # At d >= 2 the last axis is swept in sorted windows and the other axes
     # are split into columns of width y. Each cloud is checked at y = 0 too.

@@ -357,6 +357,26 @@ def test_cell_bounds_come_from_the_coordinate_bounds():
     assert _fit_cells(far.points, 1.0)[1] > 1.0
 
 
+def test_grid_far_from_the_origin_starts_below_the_coordinate_limit():
+    # Lattices at 2^70, indexed at radius 1: the largest coordinate is 2^70
+    # radii, so the width starts at 2^-61 of it and every cell coordinate is
+    # below 2^62. The lattice step is ulp(2^70) = 2^18, so at y = 1 only
+    # coincident points are adjacent, and at y = 2^18 lattice neighbours too.
+    rng = np.random.default_rng(7)
+    for d in (2, 3):
+        cloud = make_cloud(2.0**70 + rng.integers(0, 4, size=(200, d)) * 2.0**18)
+        index = build_grid_index(cloud.points, 1.0)
+        assert index.cell_size >= 2.0**70 / 2.0**61
+        assert np.floor(cloud.points / index.cell_size).max() < 2.0**62
+        assert sorted(sum(cell_layout(index, cloud).values(), [])) == list(range(200))
+        for y in (1.0, 2.0**18):
+            expected = brute_force_edges(cloud, y)
+            assert len(expected), (d, y)
+            assert np.array_equal(edge_list(cloud, y), expected), (d, y)
+            degrees = np.bincount(expected.ravel(), minlength=cloud.n)
+            assert np.array_equal(degree_summary(cloud, y).degrees, degrees), (d, y)
+
+
 def test_degree_pass_enumerates_no_same_cell_pair(monkeypatch):
     # The edge-d2 workload's size: n = 20,000 at d = 2, c = 2. Every column is
     # as wide as y, so every same-column pair is counted, and the degree pass

@@ -74,6 +74,9 @@ def test_pair_connect_prob_monotonicity():
         (lambda: containment_radius(10, 1.0, 1, math.inf), "radius .* got inf"),
         (lambda: a_min(1.0, 1e-200, 2), "lam\\^d must be finite and positive"),
         (lambda: theory_bounds(1.0, 1e200, 2), "lam\\^d must be finite and positive"),
+        # An int lam's exact power never overflows; the float it stands for does.
+        (lambda: theory_bounds(1.0, 10, 400),
+         "^lam\\^d must be finite and positive, got lam=10, d=400$"),
         (lambda: a_max(math.inf, 1e200, 2), "lam\\^d must be finite and positive"),
         (lambda: a_max(1e-300, 1e-10, 1), "lam\\^d \\* c must be finite and positive"),
         (lambda: a_min(1e300, 1e10, 1), "lam\\^d \\* c must be finite and positive"),
@@ -84,7 +87,8 @@ def test_pair_connect_prob_monotonicity():
     ],
     ids=["p-nan-y", "p-inf-lam", "radius-nan-epsilon", "radius-inf-lam", "a-min-inf-lam",
          "a-max-inf-lam", "radius-subnormal-lam", "radius-inf-epsilon",
-         "a-min-underflowing-lam-d", "bounds-overflowing-lam-d", "a-max-inf-c-overflowing-lam-d",
+         "a-min-underflowing-lam-d", "bounds-overflowing-lam-d", "bounds-overflowing-int-lam-d",
+         "a-max-inf-c-overflowing-lam-d",
          "a-max-subnormal-product", "a-min-overflowing-product", "chernoff-n-zero",
          "chernoff-p-one", "radius-n-one", "a-max-zero-c"],
 )
@@ -186,18 +190,18 @@ def test_root_equation_shape():
 
 
 def test_a_min_values():
-    root, has_root = a_min(4.0, 1.0, 1)
-    assert has_root
+    root = a_min(4.0, 1.0, 1)
+    assert root > 0.0
     assert abs(_root_equation(root) - 0.25) <= 1e-12
     assert root == pytest.approx(0.3824035696, abs=1e-9)
-    assert a_min(math.inf, 1.0, 1) == (1.0, True)
+    assert a_min(math.inf, 1.0, 1) == 1.0
     # no root exactly when lam^d * c <= 1
-    assert a_min(1.0, 1.0, 1) == (0.0, False)
-    assert a_min(0.5, 1.0, 1) == (0.0, False)
-    assert a_min(0.25, 2.0, 1) == (0.0, False)  # lam^d*c = 0.5
-    assert a_min(1.0, 1.0, 3) == (0.0, False)  # boundary lam^d*c = 1
-    assert a_min(1.0000001, 1.0, 1)[1] is True
-    assert a_min(0.5, 2.0, 2)[1] is True  # lam^d*c = 2
+    assert a_min(1.0, 1.0, 1) == 0.0
+    assert a_min(0.5, 1.0, 1) == 0.0
+    assert a_min(0.25, 2.0, 1) == 0.0  # lam^d*c = 0.5
+    assert a_min(1.0, 1.0, 3) == 0.0  # boundary lam^d*c = 1
+    assert a_min(1.0000001, 1.0, 1) > 0.0
+    assert a_min(0.5, 2.0, 2) > 0.0  # lam^d*c = 2
 
 
 def test_a_max_values():
@@ -211,8 +215,8 @@ def test_a_max_values():
 def test_root_residuals_across_grid():
     for c in C_GRID:
         r = 1.0 / c
-        root, has_root = a_min(c, 1.0, 1)
-        assert has_root
+        root = a_min(c, 1.0, 1)
+        assert root > 0.0
         assert abs(_root_equation(root) - r) <= 1e-12
         top = a_max(c, 1.0, 1)
         assert abs(_root_equation(top) - r) <= 1e-12
@@ -235,7 +239,7 @@ def test_theory_bounds_accepts_every_valid_point_of_the_residual_grid():
             tb = theory_bounds(c, lam, d)
         except ValueError:  # lam^d * c or its reciprocal is not finite and positive
             continue
-        assert (tb.a_min, tb.a_min_has_root) == a_min(c, lam, d)
+        assert tb.a_min == a_min(c, lam, d)
         assert tb.a_max == a_max(c, lam, d)
         solved += 1
     assert solved == 3520
@@ -257,7 +261,7 @@ def test_root_residual_check_refuses_a_root_off_by_1e_9(monkeypatch, solve):
 
 
 def test_root_monotonicity_in_c():
-    mins = [a_min(c, 1.0, 1)[0] for c in C_GRID]
+    mins = [a_min(c, 1.0, 1) for c in C_GRID]
     maxs = [a_max(c, 1.0, 1) for c in C_GRID]
     assert all(a <= b for a, b in zip(mins, mins[1:]))
     assert all(a >= b for a, b in zip(maxs, maxs[1:]))
@@ -283,7 +287,7 @@ def test_theory_bounds_assembly():
     )
     scaled = theory_bounds(1.0, 2.0, 2)
     assert scaled.lambda_pow_d == 4.0
-    assert scaled.a_min == a_min(4.0, 1.0, 1)[0]
+    assert scaled.a_min == a_min(4.0, 1.0, 1)
 
 
 def test_edge_distance_examples():
