@@ -33,7 +33,7 @@ from .experiments import (
     spec_from_json_file,
     write_manifest,
 )
-from .graphstats import _edge_counts_multi, degree_summary, edge_list
+from .graphstats import _edge_count, _edge_counts_multi, degree_summary, edge_list
 from .model import BOUND_NAMES, LogRegime, PointCloud, PowerFamily, _check_nonnegative
 from .sampling import (
     derive_replication_seed,
@@ -214,8 +214,9 @@ def _cmd_theory(args) -> int:
 
 def _engine_mismatches(cloud: PointCloud, y: float) -> List[str]:
     """Names of the engines whose answer on ``cloud`` at y differs from brute
-    force: edge_list (``edges``), degree_summary (``degrees``) and the y-grid
-    edge counter at (y / 2, y) (``edge-counts``)."""
+    force: edge_list (``edges``), degree_summary (``degrees``), the edge
+    count without degrees (``edge-count``) and the y-grid edge counter at
+    (y / 2, y) (``edge-counts``)."""
     expected = brute_force_edges(cloud, y)
     e0, e1 = expected.T
     # The oracle's edges at y / 2 are those of its edges at y whose distance,
@@ -228,6 +229,7 @@ def _engine_mismatches(cloud: PointCloud, y: float) -> List[str]:
         ("edges", np.array_equal(edge_list(cloud, y), expected)),
         ("degrees", np.array_equal(degree_summary(cloud, y).degrees,
                                    np.bincount(expected.ravel(), minlength=cloud.n))),
+        ("edge-count", _edge_count(cloud, y) == len(expected)),
         ("edge-counts", np.array_equal(_edge_counts_multi(cloud, (y / 2, y)), counts)),
     )
     return [name for name, ok in checks if not ok]

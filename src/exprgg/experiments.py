@@ -42,7 +42,10 @@ from .model import (
     read_text,
     write_text,
 )
-from .graphstats import _edge_counts_multi, degree_ratios, degree_summary, edge_density_gap
+from .graphstats import (
+    _density_gap, _edge_count, _edge_counts_multi, degree_ratios, degree_summary,
+    edge_density_gap,  # unused; bench tracing patches it
+)
 from .sampling import derive_replication_seed, sample_exponential_cloud
 from .spatial import build_grid_index, iter_matched_blocks  # unused; bench tracing patches them
 from .theory import (
@@ -178,8 +181,8 @@ def _family_columns(family: Optional[EdgeDistanceFamily]):
 
 
 def _graph_columns(spec: ExperimentSpec, cloud: PointCloud, own) -> dict:
-    """Columns of a graph kind: the degree summary of G_n(y_n) is computed
-    once, and ``own(spec, summary, y_n)`` adds the kind's columns."""
+    """Columns of a kind that reads degrees: the degree summary of G_n(y_n)
+    is computed once, and ``own(spec, summary, y_n)`` adds the kind's columns."""
     y = edge_distance(spec.family, cloud.n)
     summ = degree_summary(cloud, y)
     return dict(
@@ -196,8 +199,13 @@ def _degree_law_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> 
     )
 
 
-def _edge_slln_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> dict:
-    return dict(gap=edge_density_gap(summ, y, spec.lam, spec.d))
+def _edge_slln_columns(spec: ExperimentSpec, cloud: PointCloud) -> dict:
+    """The graph columns of edge-slln, which reads only epsilon_n of
+    G_n(y_n): its edges are counted, not its degrees."""
+    y = edge_distance(spec.family, cloud.n)
+    edges = _edge_count(cloud, y)
+    p = pair_connect_prob(y, spec.lam, spec.d)
+    return dict(y_n=y, epsilon_n=edges, p_y=p, gap=_density_gap(edges, cloud.n, p))
 
 
 def _threshold_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> dict:
@@ -205,11 +213,9 @@ def _threshold_columns(spec: ExperimentSpec, summ: DegreeSummary, y: float) -> d
 
 
 def _uniform_columns(spec: ExperimentSpec, cloud: PointCloud) -> dict:
-    n = cloud.n
     ys = np.asarray(spec.y_grid, dtype=np.float64)
-    density = _edge_counts_multi(cloud, ys) / (n * (n - 1) / 2)
     p = np.array([pair_connect_prob(y, spec.lam, spec.d) for y in ys])
-    return dict(gap=float(np.max(np.abs(density - p))))
+    return dict(gap=float(np.max(_density_gap(_edge_counts_multi(cloud, ys), cloud.n, p))))
 
 
 def _containment_columns(spec: ExperimentSpec, cloud: PointCloud) -> dict:
@@ -343,7 +349,7 @@ EXPERIMENT_KINDS: Dict[str, ExperimentKind] = {
         _theory_degree_law, families=(LogRegime,),
     ),
     "edge-slln": ExperimentKind(
-        partial(_graph_columns, own=_edge_slln_columns), _summary_edge_slln,
+        _edge_slln_columns, _summary_edge_slln,
         lambda spec: {}, families=(LogRegime,),
     ),
     "uniform-slln": ExperimentKind(
@@ -497,6 +503,21 @@ _JSON_CELLS = {
 _NON_FINITE = ("inf", "-inf", "nan")
 
 
+def _json_fits(kind: type, raw) -> bool:
+    """Whether a JSON cell's value, not null, is what the writer writes in a
+    column of ``kind``. A float column's number must be a finite float:
+    json.loads reads 1e400 as inf, an integer may lie beyond the float range,
+    and the writer writes a non-finite value as a string."""
+    if kind is float and isinstance(raw, str):
+        return raw in _NON_FINITE
+    if not isinstance(raw, _JSON_CELLS[kind][1]):
+        return False
+    try:
+        return kind is not float or math.isfinite(raw)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_cell(column: str, raw, from_json: bool = False):
     """A CSV cell's text, or a JSON cell's value, as its column's type; None
     for a blank CSV cell or a JSON null."""
@@ -505,9 +526,9 @@ def _parse_cell(column: str, raw, from_json: bool = False):
     kind = _COLUMN_TYPES[column]
     if isinstance(raw, bool) and kind is not bool:
         raise ValueError(f"boolean {raw!r} in column {column}, which holds no booleans")
-    what, types = _JSON_CELLS[kind]
-    if from_json and not (isinstance(raw, types) or kind is float and raw in _NON_FINITE):
-        raise ValueError(f"column {column} takes {what} in a JSON table, got {raw!r}")
+    if from_json and not _json_fits(kind, raw):
+        raise ValueError(f"column {column} takes {_JSON_CELLS[kind][0]} in a JSON table, "
+                         f"got {raw!r}")
     if kind is bool and not isinstance(raw, bool):
         if raw not in ("true", "false"):
             raise ValueError(f"bad boolean {raw!r} in column {column}")
@@ -522,8 +543,10 @@ def _row_from_cells(cells: Dict[str, object], from_json: bool = False) -> Result
 def parse_table(text: str, fmt: str) -> List[ResultRow]:
     """Inverse of :func:`render_table`. A CSV cell is text, converted by its
     column's type. A JSON cell must already hold what the writer writes in
-    its column: null, or an integer, a number (or the string of a non-finite
-    one), a string or a boolean; anything else is refused, naming the column."""
+    its column: null, or an integer, a finite number (or the string of a
+    non-finite one), a string or a boolean; anything else, 1e400 and an
+    integer beyond the float range in a float column included, is refused,
+    naming the column."""
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:

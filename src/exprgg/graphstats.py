@@ -1,6 +1,11 @@
-"""Degree statistics, y-grid edge counts and the edge list of the radius-y
-graph on a point cloud, plus the ratios and edge-density gap that the
-strong-law bounds use.
+"""Degree statistics, the edge count, y-grid edge counts and the edge list
+of the radius-y graph on a point cloud, plus the ratios and edge-density gap
+that the strong-law bounds use.
+
+At d >= 2 one column engine (``_column_walk``) serves two reductions: the
+degree pass tallies its counted runs and hit masks per vertex, and the edge
+count, which is all that the edge-density gap reads, sums them. The y-grid
+and the edge list run the same windows, grid and pair enumerator.
 """
 
 from __future__ import annotations
@@ -80,6 +85,46 @@ def _check_graph_size(n: int) -> None:
         raise ValueError(f"degree statistics need n >= 2 points, got {n}")
 
 
+def _column_walk(cloud: PointCloud, y: float):
+    """The column engine at d >= 2, one setup for every reduction of it: the
+    degree pass tallies what it gives and the edge count sums it.
+
+    An int when every vertex has one degree: n - 1 when y covers every axis's
+    extent, before any pair is enumerated, and 0 when every gap between
+    neighbours sorted on the last axis exceeds y. Else ``(index, left, stop,
+    chunks)``: the grid of ``_column_grid``; the counted runs, each member
+    position ``left`` of a column whose extent on every other axis is within
+    y and one past the last later member of its column inside its window,
+    ``stop``, so that it is joined to every position of [left + 1, stop);
+    and a generator of each chunk of the other candidate pairs as (left,
+    right, hit), ``hit`` marking the pairs within y. Positions index
+    ``index._members``, the last-axis ranks in column order.
+    """
+    # One reduction per axis column: reducing the (n, d) array over axis 0
+    # is about 15x slower at d = 2.
+    if all(col.max() - col.min() <= y for col in cloud.points.T):
+        # Complete graph: subtraction is monotone in each operand, so every
+        # pair's computed distance is at most the computed span.
+        return cloud.n - 1
+    windows = _last_axis_windows(cloud, y)
+    if windows is None:
+        return 0
+    order, starts, ends = windows
+    # The windows hold the last axis to <= y. A cell whose extent is within
+    # y on every other axis joins every same-cell pair inside a window:
+    # subtraction is monotone, so no pair's computed distance exceeds the
+    # computed extent. Its pairs are counted from their runs, not enumerated.
+    index, cols = _column_grid(cloud, y, order, cloud.d - 1)
+    firsts = index._starts[:-1]
+    counted = np.ones(index.n_cells, dtype=bool)
+    for col in cols:
+        counted &= np.maximum.reduceat(col, firsts) - np.minimum.reduceat(col, firsts) <= y
+    left, stop = _same_cell_runs(index, ends, counted)
+    chunks = ((i, j, _pair_distances(cols, i, j) <= y)
+              for i, j in iter_candidate_pairs(index, starts, ends, counted=counted))
+    return index, left, stop, chunks
+
+
 def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     """Degrees, edge count and degree extremes of the graph G_n(y) on ``cloud``.
 
@@ -87,15 +132,15 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     When every gap between neighbours sorted on the last axis exceeds y the
     graph is empty. Otherwise each vertex gets its exact window of last-axis
     neighbours, which at d = 1 is its degree, at any y up to inf, with no
-    pair enumerated. At d >= 2 a y that covers every axis's extent returns
-    the complete graph before the column engine enumerates its pairs; else
-    degrees are tallied from the candidate pairs inside the windows in the
-    same or adjacent columns of a grid on the first of the other axes
-    (``_column_grid``), in vectorized chunks; memory stays O(n) plus one
-    bounded chunk. A column whose extent on every other axis is within y
-    joins each pair of its members inside a window, so its own pairs are
-    counted from their runs and only the others are enumerated. y = 0 takes
-    the same paths as any other y.
+    pair enumerated. At d >= 2 the degrees are tallied from the column
+    engine (``_column_walk``): a y that covers every axis's extent returns
+    the complete graph before any pair is enumerated; else the candidate
+    pairs inside the windows in the same or adjacent columns of a grid on the
+    first of the other axes (``_column_grid``) are enumerated in vectorized
+    chunks; memory stays O(n) plus one bounded chunk. A column whose extent
+    on every other axis is within y joins each pair of its members inside a
+    window, so its own pairs are counted from their runs and only the others
+    are enumerated. y = 0 takes the same paths as any other y.
 
     Degrees are counted in the order of the last-axis ranks and stay there:
     the edge count and the extremes need no vertex order. The summary maps
@@ -107,32 +152,21 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     _check_graph_size(n)
     _check_nonnegative(y, "y")
     key = cloud.points[:, -1]
-    # One reduction per axis column: reducing the (n, d) array over axis 0
-    # is about 15x slower at d = 2.
-    if cloud.d > 1 and all(col.max() - col.min() <= y for col in cloud.points.T):
-        # Complete graph: subtraction is monotone in each operand, so every
-        # pair's computed distance is at most the computed span.
-        return DegreeSummary._in_rank_order(np.full(n, n - 1, dtype=np.int64), key)
-    windows = _last_axis_windows(cloud, y)
-    if windows is None:
-        return DegreeSummary._in_rank_order(np.zeros(n, dtype=np.int64), key)
-    order, starts, ends = windows
     if cloud.d == 1:
+        windows = _last_axis_windows(cloud, y)
+        if windows is None:
+            return DegreeSummary._in_rank_order(np.zeros(n, dtype=np.int64), key)
+        _, starts, ends = windows
         ends -= starts
         ends -= 1  # the window less the vertex itself
         # Equal coordinates get equal windows, so any sorting permutation
         # maps these ranks to their vertices.
         return DegreeSummary._in_rank_order(ends, key)
-    # The windows hold the last axis to <= y. A cell whose extent is within
-    # y on every other axis joins every same-cell pair inside a window:
-    # subtraction is monotone, so no pair's computed distance exceeds the
-    # computed extent. Its pairs are counted from their runs, not enumerated.
-    index, cols = _column_grid(cloud, y, order, cloud.d - 1)
-    firsts = index._starts[:-1]
-    counted = np.ones(index.n_cells, dtype=bool)
-    for col in cols:
-        counted &= np.maximum.reduceat(col, firsts) - np.minimum.reduceat(col, firsts) <= y
-    left, stop = _same_cell_runs(index, ends, counted)
+    walk = _column_walk(cloud, y)
+    if isinstance(walk, int):
+        return DegreeSummary._in_rank_order(np.full(n, walk, dtype=np.int64), key)
+    index, left, stop, chunks = walk
+    del walk  # the runs go before the chunks are enumerated
     # A position gets +1 from every run it lies in: +1 where a run starts and
     # -1 where it stops, summed up to it...
     inside = np.bincount(left + 1, minlength=n + 1)
@@ -142,11 +176,10 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     stop -= 1
     tally[left] += stop  # ...and the length of its own run
     del left, stop, inside
-    # The other pairs are enumerated. A chunk's left positions ascend, so
-    # they are tallied per run of equal ones; its right positions lie after
-    # its first left, so their tally spans only from there.
-    for left, right in iter_candidate_pairs(index, starts, ends, counted=counted):
-        hit = _pair_distances(cols, left, right) <= y
+    # A chunk's left positions ascend, so they are tallied per run of equal
+    # ones; its right positions lie after its first left, so their tally
+    # spans only from there.
+    for left, right, hit in chunks:
         first = np.flatnonzero(np.concatenate(([True], left[1:] != left[:-1])))
         tally[left[first]] += np.add.reduceat(hit, first, dtype=np.int64)
         lo = int(left[0])
@@ -157,6 +190,35 @@ def degree_summary(cloud: PointCloud, y: float) -> DegreeSummary:
     ranked = np.empty_like(tally)
     ranked[index._members] = tally  # members are the ranks in column order
     return DegreeSummary._in_rank_order(ranked, key)
+
+
+def _sorted_edge_count(xs: np.ndarray, y: float) -> int:
+    """The edges within y among the ascending coordinates ``xs``: the forward
+    windows [i + 1, ends[i]) summed, whose starts sum to n(n + 1)/2."""
+    ends = sorted_window_ends(xs, y)
+    n = len(xs)
+    return 0 if ends is None else int(ends.sum()) - n * (n + 1) // 2
+
+
+def _edge_count(cloud: PointCloud, y: float) -> int:
+    """epsilon_n of G_n(y) on ``cloud``, the edge count of ``degree_summary``
+    without its degrees. At d = 1 it is summed from the sorted windows,
+    which need no window starts; at d >= 2 from the column engine's counted
+    runs and hit masks, with no tally."""
+    n = cloud.n
+    _check_graph_size(n)
+    _check_nonnegative(y, "y")
+    if cloud.d == 1:
+        return _sorted_edge_count(np.sort(cloud.points[:, 0]), y)
+    walk = _column_walk(cloud, y)
+    if isinstance(walk, int):
+        return n * walk // 2
+    _, left, stop, chunks = walk
+    edges = int(stop.sum()) - int(left.sum()) - len(left)  # the runs' lengths
+    del walk, left, stop
+    for _, _, hit in chunks:
+        edges += int(np.count_nonzero(hit))
+    return edges
 
 
 def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
@@ -171,14 +233,7 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
     ys = np.asarray(y_values, dtype=np.float64)
     if cloud.d == 1:
         xs = np.sort(cloud.points[:, 0])
-        starts = cloud.n * (cloud.n + 1) // 2  # the forward windows start at 1..n
-        edges = np.zeros(len(ys), dtype=np.int64)
-        for k, y in enumerate(ys):
-            ends = sorted_window_ends(xs, y)
-            if ends is not None:
-                edges[k] = ends.sum() - starts
-            del ends  # before the next search allocates its own: 0.4 MB of peak
-        return edges
+        return np.array([_sorted_edge_count(xs, y) for y in ys], dtype=np.int64)
     windows = _last_axis_windows(cloud, ys[-1])
     if windows is None:
         return np.zeros(len(ys), dtype=np.int64)
@@ -221,12 +276,15 @@ def edge_list(cloud: PointCloud, y: float) -> np.ndarray:
     return np.column_stack(np.divmod(codes, n))
 
 
+def _density_gap(edges, n: int, p):
+    """| edges / C(n,2) - p |, elementwise over arrays of edge counts and p."""
+    return abs(edges / (n * (n - 1) / 2) - p)
+
+
 def edge_density_gap(summary: DegreeSummary, y: float, lam: float, d: int) -> float:
     """| epsilon_n / C(n,2) - p(y) |, the edge-density deviation from its mean."""
-    n = summary.n
-    _check_graph_size(n)
-    density = summary.epsilon_n / (n * (n - 1) / 2)
-    return abs(density - pair_connect_prob(y, lam, d))
+    _check_graph_size(summary.n)
+    return _density_gap(summary.epsilon_n, summary.n, pair_connect_prob(y, lam, d))
 
 
 def degree_ratios(summary: DegreeSummary, y: float, d: int) -> Tuple[float, float]:

@@ -183,6 +183,10 @@ KIND_GOLDEN = {
         "edge-slln --d 2 --lambda 1 --c 2 --n 300,1200",
         "757cbafe28175566091caf4b96fb70a8f0b51b22a84dd8355c7ead38c4e94a51",
         "97ea9e2cb60843d3e2ce7633a812c3396f55cb25ba33e7fc72e3049a52782ccb"),
+    "edge-slln-d3": (
+        "edge-slln --d 3 --lambda 1 --c 2 --n 300,5000",
+        "07b5c21bedf7f9ec5b145884b5ea11d148eecd3af2f9313238ad0cd1819065d0",
+        "8838c0094c429b7bfc1c2e0202d14a9a87148c1f5b195a9c555e454242e08f94"),
     "threshold-c-d1": (
         "threshold --d 1 --lambda 1 --c 1 --n 300,1200",
         "6b10ec29a296da13ccf292bda0ac8157d1bd937660f9f774085dd041f455468c",
@@ -454,6 +458,18 @@ def test_verify_names_the_engine_that_disagreed(capsys, monkeypatch):
     assert all(line.endswith(", realised distance) in edges") for line in lines)
     assert all(line.count(" in edges") == 3 for line in lines)
     assert "degrees" not in err and "edge-counts" not in err
+    monkeypatch.undo()
+    # One edge too many from the edge count without degrees.
+    real_count = cli._edge_count
+    monkeypatch.setattr(cli, "_edge_count", lambda cloud, y: real_count(cloud, y) + 1)
+    code, out, err = run_cli(capsys, "verify", "--cases", "3", "--max-n", "50", "--seed", "1")
+    assert code == 3
+    assert out == "verify: 3 cases, 0 matched\n"
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert all(line.endswith(", realised distance) in edge-count") for line in lines)
+    assert all(line.count(" in edge-count") == 3 for line in lines)
+    assert "edges" not in err and "degrees" not in err and "edge-counts" not in err
 
 
 SPEC_FLAGS = ["--d", "1", "--lambda", "1", "--n", "100", "--reps", "1", "--seed", "1"]

@@ -381,10 +381,19 @@ def _first_json_row(change):
      "column family takes a string in a JSON table, got 5"),
     ("json", _first_json_row(lambda row: row.update(has_edge="true")),
      "column has_edge takes a boolean in a JSON table, got 'true'"),
+    ("json", _first_json_row(lambda row: row.update(gap=10**400)),
+     f"column gap takes a number or 'inf', '-inf' or 'nan' in a JSON table, got {10**400}"),
+    ("json", lambda text: _first_json_row(lambda row: row.update(gap=0.125))(text)
+     .replace('"gap": 0.125', '"gap": 1e400'),
+     "column gap takes a number or 'inf', '-inf' or 'nan' in a JSON table, got inf"),
+    ("json", lambda text: _first_json_row(lambda row: row.update(gap=0.125))(text)
+     .replace('"gap": 0.125', '"gap": NaN'),
+     "column gap takes a number or 'inf', '-inf' or 'nan' in a JSON table, got nan"),
     ("xml", lambda text: text, "unknown format 'xml'; expected 'csv' or 'json'"),
 ], ids=["csv-header", "csv-short-row", "csv-bad-boolean", "json-object", "json-row-not-object",
         "json-missing-column", "json-unexpected-column", "json-boolean-number",
         "json-float-integer", "json-string-number", "json-number-string", "json-string-boolean",
+        "json-integer-beyond-float", "json-number-read-as-inf", "json-nan-number",
         "unknown-format"])
 def test_parse_table_refuses_what_render_table_never_writes(fmt, edit, message):
     rows = run_experiment(small_spec(kind="edge-slln", n_list=(60,), replications=1)).rows
@@ -457,6 +466,14 @@ def test_read_table_errors_name_the_file(tmp_path):
         read_table(path, "csv")
     assert str(refused.value) == (f"cannot read table from {path}: "
                                   "CSV table has a missing or unexpected header")
+    # A float cell's integer beyond the float range raised a bare OverflowError.
+    wide = tmp_path / "wide.json"
+    wide.write_text(_first_json_row(lambda row: row.update(gap=10**400))(
+        render_table(rows, "json")))
+    with pytest.raises(ValueError) as refused:
+        read_table(wide, "json")
+    assert str(refused.value) == (f"cannot read table from {wide}: column gap takes a number "
+                                  f"or 'inf', '-inf' or 'nan' in a JSON table, got {10**400}")
 
 
 def test_manifest_round_trip(tmp_path):

@@ -238,6 +238,52 @@ def test_counted_cells_match_brute_force(monkeypatch):
         run(cloud, 0.0)
 
 
+def test_edge_count_matches_brute_force_and_the_degree_pass(monkeypatch):
+    # The edge count runs the degree pass's setup and sums its counted runs
+    # and hit masks, with no tally. Each cloud is checked at y = 0, at y =
+    # inf (the complete-graph exit at d >= 2), at its own ys, at the oracle's
+    # distance between vertices 0 and 1 (an exact tie) and one ulp below the
+    # smallest nonzero gap on the last axis, if any; where no two points share a
+    # last-axis value, that y is below every gap, the empty exit.
+    from exprgg.graphstats import _edge_count
+
+    calls = spy_on_candidate_pairs(monkeypatch)
+    rng = np.random.default_rng(31)
+    # Near-coincident pairs at y = 1e-9, whose columns widen past y to keep
+    # their keys within int64, so each column enumerates its own pairs.
+    base = 1.0 + rng.exponential(size=(100, 4))
+    steps = rng.choice([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], size=base.shape)
+    widened = make_cloud(np.concatenate((base, base + steps)))
+    spread = rng.permutation(np.cumsum(1.0 + rng.random(100)))
+    cases = tie_and_overflow_clouds() + [(widened, (1e-9,))] + [
+        (make_cloud(np.column_stack([spread] * d)), (0.5,)) for d in (1, 2, 3)
+    ]
+    assert {cloud.d for cloud, _ in cases} >= {1, 2, 3}
+    empty = 0
+    for cloud, ys in cases:
+        gaps = np.diff(np.sort(cloud.points[:, -1]))
+        below = float(np.nextafter(gaps[gaps > 0].min(), 0.0)) if gaps.any() else 0.0
+        tie = float(np.abs(cloud.points[0] - cloud.points[1]).max())
+        for y in (0.0, *ys, tie, below, math.inf):
+            calls.clear()
+            edges = _edge_count(cloud, y)
+            assert type(edges) is int, (cloud.d, y)
+            assert edges == len(brute_force_edges(cloud, y)), (cloud.d, y)
+            assert edges == degree_summary(cloud, y).epsilon_n, (cloud.d, y)
+            if y == below and gaps.min() > 0:
+                assert edges == 0 and not calls, (cloud.d, y)
+                empty += 1
+    assert empty >= 4
+    calls.clear()
+    assert _edge_count(widened, 1e-9) == len(brute_force_edges(widened, 1e-9))
+    (call,) = calls
+    assert call["index"].cell_size > 1e-9 and call["same_cell"] > 0
+    # Candidate pairs over several chunks: degrees in closed form.
+    cloud, ys, degrees = few_value_cloud(d=2, n=2000)
+    for y, expected in zip(ys, degrees):
+        assert _edge_count(cloud, y) == expected.sum() // 2, y
+
+
 def test_d1_degrees_in_vertex_order_under_heavy_ties():
     # The d = 1 engine counts in sorted-value order and maps its ranks back
     # with a fresh argsort, which may order a run of equal coordinates
