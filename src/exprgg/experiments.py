@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -494,13 +495,20 @@ _COLUMN_TYPES = {
 }
 
 
-# What the writer puts in a JSON cell of each column type, besides null: a
-# float column's non-finite values are the strings _NON_FINITE.
-_JSON_CELLS = {
+# What the writer puts in a cell of each column type, besides a blank or
+# null, and the Python types of such a JSON cell: a float column's
+# non-finite values are the strings _NON_FINITE.
+_CELL_KINDS = {
     int: ("an integer", int), float: ("a number or 'inf', '-inf' or 'nan'", (int, float)),
     str: ("a string", str), bool: ("a boolean", bool),
 }
 _NON_FINITE = ("inf", "-inf", "nan")
+# The text of a number cell in a CSV table: str() of an int, or fmt17 of a
+# finite float (a float column may hold an int, such as an integer lambda).
+_CSV_NUMBERS = {
+    int: re.compile(r"-?[0-9]+"),
+    float: re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?"),
+}
 
 
 def _json_fits(kind: type, raw) -> bool:
@@ -510,12 +518,26 @@ def _json_fits(kind: type, raw) -> bool:
     and the writer writes a non-finite value as a string."""
     if kind is float and isinstance(raw, str):
         return raw in _NON_FINITE
-    if not isinstance(raw, _JSON_CELLS[kind][1]):
+    if not isinstance(raw, _CELL_KINDS[kind][1]):
         return False
     try:
         return kind is not float or math.isfinite(raw)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _csv_fits(kind: type, raw: str) -> bool:
+    """Whether a CSV cell's text, not blank, is what the writer writes in a
+    column of ``kind``. A number cell must match ``_CSV_NUMBERS`` and a float
+    one be finite, or be one of _NON_FINITE: float() alone would read 1e400
+    and Infinity as inf, NaN as nan and ' 0.5' as 0.5. Boolean and string
+    cells are checked as they are converted."""
+    if kind is float and raw in _NON_FINITE:
+        return True
+    pattern = _CSV_NUMBERS.get(kind)
+    if pattern is None:
+        return True
+    return pattern.fullmatch(raw) is not None and (kind is int or math.isfinite(float(raw)))
 
 
 def _parse_cell(column: str, raw, from_json: bool = False):
@@ -526,9 +548,9 @@ def _parse_cell(column: str, raw, from_json: bool = False):
     kind = _COLUMN_TYPES[column]
     if isinstance(raw, bool) and kind is not bool:
         raise ValueError(f"boolean {raw!r} in column {column}, which holds no booleans")
-    if from_json and not _json_fits(kind, raw):
-        raise ValueError(f"column {column} takes {_JSON_CELLS[kind][0]} in a JSON table, "
-                         f"got {raw!r}")
+    if not (_json_fits if from_json else _csv_fits)(kind, raw):
+        raise ValueError(f"column {column} takes {_CELL_KINDS[kind][0]} in a "
+                         f"{'JSON' if from_json else 'CSV'} table, got {raw!r}")
     if kind is bool and not isinstance(raw, bool):
         if raw not in ("true", "false"):
             raise ValueError(f"bad boolean {raw!r} in column {column}")
@@ -541,12 +563,14 @@ def _row_from_cells(cells: Dict[str, object], from_json: bool = False) -> Result
 
 
 def parse_table(text: str, fmt: str) -> List[ResultRow]:
-    """Inverse of :func:`render_table`. A CSV cell is text, converted by its
-    column's type. A JSON cell must already hold what the writer writes in
-    its column: null, or an integer, a finite number (or the string of a
-    non-finite one), a string or a boolean; anything else, 1e400 and an
-    integer beyond the float range in a float column included, is refused,
-    naming the column."""
+    """Inverse of :func:`render_table`. Each cell must hold what the writer
+    writes in its column, or the cell is refused, naming the column. A CSV
+    cell is text: blank, an integer's digits, a finite float's digits or
+    'inf', '-inf' or 'nan', 'true' or 'false', or a string; 1e400, Infinity,
+    NaN and ' 0.5' in a float column are refused. A JSON cell is null, or an
+    integer, a finite number (or the string of a non-finite one), a string
+    or a boolean; 1e400 and an integer beyond the float range in a float
+    column are refused."""
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:

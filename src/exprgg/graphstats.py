@@ -45,7 +45,8 @@ def _last_axis_windows(cloud: PointCloud, y: float):
     if ends is None:
         return None
     del xs  # n floats fewer while starts is counted
-    starts = np.cumsum(np.bincount(ends, minlength=cloud.n + 1)[:cloud.n])
+    starts = np.bincount(ends, minlength=cloud.n + 1)[:cloud.n]
+    np.cumsum(starts, out=starts)  # in place: n ints fewer at the peak
     return order, starts, ends
 
 
@@ -249,29 +250,34 @@ def _edge_counts_multi(cloud: PointCloud, y_values: np.ndarray) -> np.ndarray:
 def edge_list(cloud: PointCloud, y: float) -> np.ndarray:
     """The edges of G_n(y) on ``cloud`` in the form of ``brute_force_edges``:
     the rows (i, j), i < j, of an (m, 2) int64 array in row-major order, shape
-    (0, 2) when there is none. At d >= 2 the column engine enumerates every
-    candidate pair, same-column pairs included, and keeps those within y."""
+    (0, 2) when there is none. At d = 1 each rank's forward window expands
+    to its edges; at d >= 2 the column engine enumerates every candidate
+    pair, same-column pairs included, and keeps those within y."""
     _check_nonnegative(y, "y")
     n = cloud.n
-    windows = _last_axis_windows(cloud, y)
-    if windows is None:
-        return np.zeros((0, 2), dtype=np.int64)
-    order, starts, ends = windows
-    found = [(np.zeros(0, dtype=np.int64),) * 2]  # pairs of last-axis ranks
     if cloud.d == 1:
-        # Rank r's forward window is [r + 1, ends[r]). Equal coordinates get
-        # equal windows, so any sorting permutation maps ranks to vertices.
-        after = np.arange(1, n + 1)
-        lens = ends - after
-        found.append((np.repeat(after - 1, lens), _ranges(after, lens)))
+        # Equal coordinates get equal windows, so any sorting permutation
+        # maps the ranks to their vertices; no window starts are needed.
         order = np.argsort(cloud.points[:, 0])
+        ends = sorted_window_ends(cloud.points[order, 0], y)
+        if ends is None:
+            return np.zeros((0, 2), dtype=np.int64)
+        after = np.arange(1, n + 1)  # rank r's forward window is [r + 1, ends[r])
+        lens = ends - after
+        i, j = np.repeat(after - 1, lens), _ranges(after, lens)
     else:
+        windows = _last_axis_windows(cloud, y)
+        if windows is None:
+            return np.zeros((0, 2), dtype=np.int64)
+        order, starts, ends = windows
         # The windows hold the last axis to y, as in the degree pass.
         index, cols = _column_grid(cloud, y, order, cloud.d - 1)
+        found = [(np.zeros(0, dtype=np.int64),) * 2]  # pairs of last-axis ranks
         for left, right in iter_candidate_pairs(index, starts, ends):
             hit = _pair_distances(cols, left, right) <= y
             found.append((index._members[left[hit]], index._members[right[hit]]))
-    i, j = (order[np.concatenate(side)] for side in zip(*found))
+        i, j = (np.concatenate(side) for side in zip(*found))
+    i, j = order[i], order[j]
     codes = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
     return np.column_stack(np.divmod(codes, n))
 

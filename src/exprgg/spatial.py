@@ -14,12 +14,13 @@ enumeration walks the occupied cells one offset at a time.
 
 Along one axis a radius-y neighbourhood is a window of the sorted
 coordinates, so ``sorted_window_ends`` finds every window without
-enumerating a pair, and searches only the windows whose first gap is within
-y. At d = 1 the windows are the degrees and expand to the edges. At d >= 2
-the degrees, the y-grid edge counts and the edge list sort on the last axis
-and build the grid on the first k = min(d - 1, max(1, floor(log_9 n))) of
-the other d - 1 axes, so its cells are columns; every axis it leaves out is
-still filtered by exact distance. Candidate pairs are then member positions
+enumerating a pair, a fixed-size block of ranks at a time, and searches only
+the windows whose first gap is within y. At d = 1 the windows are the
+degrees and expand to the edges. At d >= 2 the degrees, the y-grid edge
+counts and the edge list sort on the last axis and build the grid on the
+first k = min(d - 1, max(1, floor(log_9 n))) of the other d - 1 axes, so
+its cells are columns; every axis it leaves out is still filtered by exact
+distance. Candidate pairs are then member positions
 in column order, each paired only with the members of its own and adjacent
 columns inside its last-axis window, expanded from contiguous runs in
 vectorized chunks; the Python-level work is O(3^k) = O(sqrt(n)) steps plus
@@ -39,6 +40,7 @@ from .model import PointCloud, _check_nonnegative
 
 _PAIR_CHUNK = 1 << 20  # distance-matrix entries per brute-force row block
 _CANDIDATE_CHUNK = 1 << 15  # candidate pairs per chunk
+_SWEEP_CHUNK = 1 << 14  # sorted ranks per block of the window sweep
 _COORD_LIMIT = 2.0**62  # cell coordinates stay below this, so they fit int64
 
 
@@ -272,26 +274,39 @@ def sorted_window_ends(xs: np.ndarray, y: float) -> Optional[np.ndarray]:
     only ever shrinks, and each step jumps a whole run of equal coordinates:
     the step count is bounded by the distinct values in the rounding band,
     not by their multiplicity.
+
+    The ranks are swept in blocks of ``_SWEEP_CHUNK``, so ``ends`` is the
+    only n-sized array it allocates. A block's needles fl(xs[i] + y) ascend,
+    and each lands at or after i + 1, so all of them are searched in the
+    slice of ``xs`` from the block's first rank up to where its last needle
+    lands: the same ends as a search over all of ``xs``, in fewer steps.
     """
     n = len(xs)
-    todo = np.flatnonzero(xs[1:] - xs[:-1] <= y)
-    if not todo.size:
-        return None
-    ends = np.arange(1, n + 1)
-    base = xs[todo]  # kept aligned with todo, so it is gathered once
-    e = np.searchsorted(xs, base + y, side="right")
-    while todo.size:
-        ends[todo] = e
-        after = xs[np.minimum(e, n - 1)]  # first point outside the window
-        last = xs[e - 1]  # last point inside it; e > i always
-        grow = (e < n) & (after - base <= y)
-        moved = grow | (last - base > y)
-        todo, base, grow, after, last = (a[moved] for a in (todo, base, grow, after, last))
-        e = np.where(
-            grow,
-            np.searchsorted(xs, after, side="right"),
-            np.searchsorted(xs, last, side="left"),
-        )
+    ends = None
+    for lo in range(0, n - 1, _SWEEP_CHUNK):
+        hi = min(lo + _SWEEP_CHUNK, n - 1)  # the ranks [lo, hi) that have a next gap
+        todo = np.flatnonzero(xs[lo + 1:hi + 1] - xs[lo:hi] <= y)
+        if not todo.size:
+            continue
+        todo += lo
+        if ends is None:
+            ends = np.arange(1, n + 1)
+        base = xs[todo]  # kept aligned with todo, so it is gathered once
+        top = np.searchsorted(xs, base[-1] + y, side="right")
+        e = np.searchsorted(xs[lo:top], base + y, side="right")
+        e += lo
+        while todo.size:
+            ends[todo] = e
+            after = xs[np.minimum(e, n - 1)]  # first point outside the window
+            last = xs[e - 1]  # last point inside it; e > i always
+            grow = (e < n) & (after - base <= y)
+            moved = grow | (last - base > y)
+            todo, base, grow, after, last = (a[moved] for a in (todo, base, grow, after, last))
+            e = np.where(
+                grow,
+                np.searchsorted(xs, after, side="right"),
+                np.searchsorted(xs, last, side="left"),
+            )
     return ends
 
 

@@ -360,11 +360,30 @@ def _first_json_row(change):
     return edit
 
 
+def _first_csv_row(column, text):
+    """An edit of a rendered CSV table that puts ``text`` in ``column`` of its first row."""
+    def edit(table):
+        lines = table.split("\n")
+        cells = lines[1].split(",")
+        cells[CSV_COLUMNS.index(column)] = text
+        lines[1] = ",".join(cells)
+        return "\n".join(lines)
+    return edit
+
+
+_CSV_FLOAT = "column gap takes a number or 'inf', '-inf' or 'nan' in a CSV table, got "
+
+
 @pytest.mark.parametrize("fmt, edit, message", [
     ("csv", lambda text: text.replace("experiment,", "kind,", 1),
      "CSV table has a missing or unexpected header"),
     ("csv", lambda text: text + "edge-slln,60\n", "CSV row has 2 fields, expected 19"),
     ("csv", lambda text: text[:-1] + "yes\n", "bad boolean 'yes' in column has_edge"),
+    ("csv", _first_csv_row("gap", "1e400"), _CSV_FLOAT + "'1e400'"),
+    ("csv", _first_csv_row("gap", "Infinity"), _CSV_FLOAT + "'Infinity'"),
+    ("csv", _first_csv_row("gap", "NaN"), _CSV_FLOAT + "'NaN'"),
+    ("csv", _first_csv_row("gap", " 0.5"), _CSV_FLOAT + "' 0.5'"),
+    ("csv", _first_csv_row("n", "6e1"), "column n takes an integer in a CSV table, got '6e1'"),
     ("json", lambda text: '{"a": 1}', "JSON table must be a list of rows, got dict"),
     ("json", lambda text: "[1]", "JSON table row 0 must be an object, got int"),
     ("json", _first_json_row(lambda row: row.pop("gap")),
@@ -390,7 +409,9 @@ def _first_json_row(change):
      .replace('"gap": 0.125', '"gap": NaN'),
      "column gap takes a number or 'inf', '-inf' or 'nan' in a JSON table, got nan"),
     ("xml", lambda text: text, "unknown format 'xml'; expected 'csv' or 'json'"),
-], ids=["csv-header", "csv-short-row", "csv-bad-boolean", "json-object", "json-row-not-object",
+], ids=["csv-header", "csv-short-row", "csv-bad-boolean", "csv-float-beyond-range",
+        "csv-infinity", "csv-nan-spelling", "csv-leading-space", "csv-float-integer",
+        "json-object", "json-row-not-object",
         "json-missing-column", "json-unexpected-column", "json-boolean-number",
         "json-float-integer", "json-string-number", "json-number-string", "json-string-boolean",
         "json-integer-beyond-float", "json-number-read-as-inf", "json-nan-number",
@@ -474,6 +495,11 @@ def test_read_table_errors_name_the_file(tmp_path):
         read_table(wide, "json")
     assert str(refused.value) == (f"cannot read table from {wide}: column gap takes a number "
                                   f"or 'inf', '-inf' or 'nan' in a JSON table, got {10**400}")
+    # So does a CSV float cell that float() reads but the writer never writes.
+    path.write_text(_first_csv_row("gap", "Infinity")(render_table(rows, "csv")))
+    with pytest.raises(ValueError) as refused:
+        read_table(path, "csv")
+    assert str(refused.value) == f"cannot read table from {path}: {_CSV_FLOAT}'Infinity'"
 
 
 def test_manifest_round_trip(tmp_path):

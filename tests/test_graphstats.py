@@ -4,6 +4,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,26 @@ def test_d1_degrees_in_vertex_order_under_heavy_ties():
         for y in ys:
             want = np.bincount(brute_force_edges(c, y).ravel(), minlength=c.n)
             assert np.array_equal(degree_summary(c, y).degrees, want), (c.d, c.n, y)
+
+
+def test_d1_degree_pass_peaks_at_24_bytes_a_point():
+    # Beside the sorted coordinates, the sweep allocates one n-sized array,
+    # its window ends, and works through the ranks in fixed-size blocks; the
+    # window starts are counted in place. So the pass peaks at about 16 bytes
+    # a point above the cloud, plus the blocks' temporaries. This runs at the
+    # degree-law y_n for c = 4 and lambda = 1, where almost every gap passes
+    # the gap test.
+    n = 2**18
+    cloud = sample_exponential_cloud(n, 1, 1.0, 1)
+    y = 4.0 * math.log(n) / n
+    tracemalloc.start()
+    try:
+        summary = degree_summary(cloud, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.min_degree == 0 and summary.max_degree > 50
+    assert peak <= 24 * n, peak / n
 
 
 def engine_and_oracle_summaries():

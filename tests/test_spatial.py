@@ -17,7 +17,8 @@ from exprgg import (
     edge_list,
     sample_exponential_cloud,
 )
-from exprgg.graphstats import _edge_counts_multi
+from exprgg import spatial
+from exprgg.graphstats import _edge_count, _edge_counts_multi
 from exprgg.sampling import derive_replication_seed, uniform_stream
 from exprgg.spatial import (
     _CANDIDATE_CHUNK,
@@ -277,6 +278,50 @@ def test_sorted_window_ends_jumps_runs_of_equal_coordinates():
     assert grow[0] == run + 1 and shrink[0] == 1
     assert np.all(grow[1:] == run + 1) and np.all(shrink[1:] == run + 1)
     assert elapsed < 5.0
+
+
+def blocks_apart_cloud(d):
+    """A d-axis cloud whose last axis holds two close pairs with 30 isolated
+    points between them, every sorted gap above 1 but the pairs' 0.5: at
+    y = 1 a sweep in blocks of up to 7 ranks meets a block with no passing
+    gap between two blocks that have one."""
+    last = np.r_[0.0, 0.5, 10.0 + 2.0 * np.arange(30), 100.0, 100.5]
+    rng = np.random.default_rng(d)
+    return make_cloud(np.column_stack([rng.random(len(last)) for _ in range(d - 1)]
+                                      + [rng.permutation(last)]))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_sweep_blocks_match_brute_force(monkeypatch, chunk):
+    # The sweep walks the sorted ranks in blocks of _SWEEP_CHUNK; the other
+    # tests' clouds hold fewer points than one block. With blocks of a few
+    # ranks every cloud here crosses many of them, at y = 0, sparse and dense
+    # y and inf, through every caller of the sweep.
+    monkeypatch.setattr(spatial, "_SWEEP_CHUNK", chunk)
+    cases = [(cloud, (*ys, 1.0)) for cloud, ys in tie_and_overflow_clouds()]
+    for case in range(12):
+        case_seed = derive_replication_seed(13, case)
+        n = 2 + int(uniform_stream(case_seed, 1)[0] * 298)
+        d = 1 + case % 3
+        cloud = sample_exponential_cloud(n, d, 1.0, derive_replication_seed(case_seed, 0))
+        cases.append((cloud, ((1.0 / n) ** (1.0 / d), 1.0)))
+    for d in (1, 2, 3):
+        cloud = blocks_apart_cloud(d)
+        passing = np.diff(np.sort(cloud.points[:, -1])) <= 1.0
+        blocks = [passing[lo:lo + chunk].any() for lo in range(0, len(passing), chunk)]
+        assert blocks[0] and blocks[-1] and not all(blocks)
+        cases.append((cloud, (1.0,)))
+    for cloud, ys in cases:
+        grid = sorted({0.0, *ys, math.inf})
+        counts = []
+        for y in grid:
+            expected = brute_force_edges(cloud, y)
+            counts.append(len(expected))
+            degrees = np.bincount(expected.ravel(), minlength=cloud.n)
+            assert np.array_equal(degree_summary(cloud, y).degrees, degrees), (cloud.d, y)
+            assert _edge_count(cloud, y) == len(expected), (cloud.d, y)
+            assert np.array_equal(edge_list(cloud, y), expected), (cloud.d, y)
+        assert _edge_counts_multi(cloud, np.array(grid)).tolist() == counts, cloud.d
 
 
 def test_grid_widens_cells_whose_keys_would_overflow(monkeypatch):
